@@ -182,6 +182,10 @@ type httpJSON struct {
 	// Client is the loadgen transport's connection accounting (new
 	// vs reused keep-alive connections).
 	Client *cluster.ClientJSON `json:"client,omitempty"`
+	// AttackClient is the attack replay's wire accounting, summed over
+	// the per-environment transports; its requests equal the
+	// http-attacks phase's gateway-served count.
+	AttackClient *cluster.ClientJSON `json:"attack_client,omitempty"`
 	// PolicyzOrigins counts the policy documents the admin /policyz
 	// endpoint served, cross-checked against the mounted set.
 	PolicyzOrigins int          `json:"policyz_origins"`
@@ -694,20 +698,27 @@ func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
 	// gets its own loopback gateway, and each verdict must equal the
 	// in-memory one — transport independence, asserted. The phase's
 	// traffic counters aggregate the per-environment gateways (the
-	// main gateway sees none of this traffic).
+	// main gateway sees none of this traffic). Each of those gateways
+	// counts into a private registry: on the shared one, every
+	// g.Stats() would read the fleet-wide counter, and the phase would
+	// sum 18 cumulative readings.
 	if cfg.attacksOn {
+		envCfg := gwCfg
+		envCfg.Obs = nil
 		var attackGW struct {
-			mu sync.Mutex
-			st httpd.Stats
+			mu     sync.Mutex
+			st     httpd.Stats
+			client httpd.ClientStats
 		}
 		wrapper := func(n *web.Network) (web.Transport, func(), error) {
-			g, c, envCleanup, err := httpd.WrapNetwork(n, gwCfg, "127.0.0.1:0")
+			g, c, envCleanup, err := httpd.WrapNetwork(n, envCfg, "127.0.0.1:0")
 			if err != nil {
 				return nil, nil, err
 			}
 			cleanup := func() {
 				attackGW.mu.Lock()
 				attackGW.st = attackGW.st.Add(g.Stats())
+				attackGW.client = attackGW.client.Add(c.Stats())
 				attackGW.mu.Unlock()
 				envCleanup()
 			}
@@ -727,8 +738,10 @@ func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
 		})
 		attackGW.mu.Lock()
 		agg := attackGW.st
+		attackClient := cluster.FromClientStats(attackGW.client)
 		attackGW.mu.Unlock()
 		fillGatewayStats(&ph, agg)
+		section.AttackClient = &attackClient
 		section.Phases = append(section.Phases, ph)
 		aj := &attacksJSON{Total: len(corpus)}
 		matches := true

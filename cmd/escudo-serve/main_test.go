@@ -206,8 +206,15 @@ func TestServeHTTPSection(t *testing.T) {
 	if h.Attacks == nil {
 		t.Fatal("http section has no attack stats")
 	}
-	if atk, ok := byName["http-attacks"]; !ok || atk.Requests == 0 {
+	atk, ok := byName["http-attacks"]
+	if !ok || atk.Requests == 0 {
 		t.Fatalf("http-attacks phase missing or counted no per-env gateway traffic: %+v", atk)
+	}
+	// Each attack gateway counts only its own traffic, so the phase
+	// total is exactly what the attack transports put on the wire.
+	if h.AttackClient == nil || atk.Requests != h.AttackClient.Requests {
+		t.Fatalf("http-attacks gateways served %d requests, attack transports sent %+v",
+			atk.Requests, h.AttackClient)
 	}
 	if h.Attacks.Neutralized != h.Attacks.Total || h.Attacks.Succeeded != 0 {
 		t.Fatalf("over sockets: neutralized %d/%d (succeeded %d), want all",

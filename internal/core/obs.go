@@ -12,6 +12,14 @@ import (
 // a session across many traced tasks. Either argument may be nil; if
 // both are, the layer is a pass-through.
 //
+// The ring gets decisions, not strings: each stamped batch is handed
+// over once, as the very slice AuthorizeBatch returns, and rendered
+// into obs.DecisionEvents (by event) only when /tracez reads the ring.
+// The ring therefore retains that slice, exactly as the audit log's
+// RecordAll does — which is safe because a returned decision slice is
+// never mutated (see BatchAuthorizer). No layer outside this one may
+// stamp decisions in place.
+//
 // Mount it outside WithCache and inside WithAudit: cache hits rebuild
 // verdicts without trace fields, so stamping after the cache keeps a
 // decision's provenance tied to the task that asked (never the task
@@ -46,7 +54,8 @@ func (m *obsLayer) current() *obs.Trace {
 	return m.trace()
 }
 
-// event flattens a stamped decision for the ring.
+// event renders a stamped decision for the ring. It runs only when the
+// ring is read (obs.DecisionRing.Snapshot), never on the record path.
 func event(d Decision) obs.DecisionEvent {
 	return obs.DecisionEvent{
 		TraceID:   d.TraceID,
@@ -62,6 +71,18 @@ func event(d Decision) obs.DecisionEvent {
 	}
 }
 
+// ringBatch is a returned decision slice as an obs.EventSource.
+type ringBatch []Decision
+
+func (ds ringBatch) Len() int                      { return len(ds) }
+func (ds ringBatch) Event(i int) obs.DecisionEvent { return event(ds[i]) }
+
+// ringSingle is one scalar decision as an obs.EventSource.
+type ringSingle Decision
+
+func (d *ringSingle) Len() int                    { return 1 }
+func (d *ringSingle) Event(int) obs.DecisionEvent { return event(Decision(*d)) }
+
 // Authorize implements Monitor.
 func (m *obsLayer) Authorize(p Context, op Op, o Context) Decision {
 	d := m.inner.Authorize(p, op, o)
@@ -70,19 +91,20 @@ func (m *obsLayer) Authorize(p Context, op Op, o Context) Decision {
 		d.Span = t.NextSpan()
 	}
 	if m.ring != nil {
-		m.ring.Record(event(d))
+		r := ringSingle(d)
+		m.ring.RecordBatch(&r)
 	}
 	return d
 }
 
 // AuthorizeBatch implements BatchAuthorizer: the inner batch keeps its
 // per-class dedup untouched, then every node's decision is stamped
-// with its own span and mirrored as its own ring event — one trace
-// event per node, exactly mirroring the complete-mediation invariant.
+// with its own span and the stamped region goes to the ring in one
+// call — one trace event per node, exactly mirroring the
+// complete-mediation invariant, for one ring lock per region.
 func (m *obsLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
 	out := AuthorizeBatch(m.inner, p, op, objects)
-	t := m.current()
-	if t != nil {
+	if t := m.current(); t != nil {
 		id := t.ID()
 		for i := range out {
 			out[i].TraceID = id
@@ -90,9 +112,7 @@ func (m *obsLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decisio
 		}
 	}
 	if m.ring != nil {
-		for i := range out {
-			m.ring.Record(event(out[i]))
-		}
+		m.ring.RecordBatch(ringBatch(out))
 	}
 	return out
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/origin"
+	"repro/internal/raceflag"
 )
 
 // stripProvenance zeroes the trace fields so decision sequences can be
@@ -158,5 +160,170 @@ func TestWithObsNilTrace(t *testing.T) {
 	}
 	if ring.Total() != 1 {
 		t.Fatalf("ring total %d, want 1", ring.Total())
+	}
+}
+
+// TestWithObsRecordPathAllocs pins the ring's record path: mirroring a
+// region into the ring costs a constant number of allocations per
+// batch, whatever its length, and at most one per scalar decision —
+// events are rendered when the ring is read, never when recorded.
+func TestWithObsRecordPathAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	site := origin.MustParse("http://site.example")
+	p := Principal(site, 1, "app-script")
+	tr := obs.NewTrace()
+	trace := func() *obs.Trace { return tr }
+	plain := Compose(&ERM{}, WithObs(trace, nil))
+	ringed := Compose(&ERM{}, WithObs(trace, obs.NewDecisionRing(64)))
+
+	for _, n := range []int{1, 500} {
+		region := obsRegion(site, n)
+		batch := func(m Monitor) float64 {
+			return testing.AllocsPerRun(200, func() { AuthorizeBatch(m, p, OpRead, region) })
+		}
+		if extra := batch(ringed) - batch(plain); extra > 1 {
+			t.Errorf("ring adds %.1f allocs to a %d-node batch, want at most 1", extra, n)
+		}
+	}
+
+	o := Object(site, 2, UniformACL(2), "post")
+	single := func(m Monitor) float64 {
+		return testing.AllocsPerRun(1000, func() { m.Authorize(p, OpRead, o) })
+	}
+	if extra := single(ringed) - single(plain); extra > 1 {
+		t.Errorf("ring adds %.1f allocs to a scalar decision, want at most 1", extra)
+	}
+}
+
+// TestDecisionRingRendersLikeEager pins lazy rendering against the
+// eager rendering the ring used to do: a mixed stream of batch and
+// scalar decisions — several traces (and none), generations, origins,
+// rings and denials, enough to wrap the ring — snapshots identically,
+// Seq included, under every filter dimension.
+func TestDecisionRingRendersLikeEager(t *testing.T) {
+	a := origin.MustParse("http://a.example")
+	b := origin.MustParse("https://b.example:8443")
+	const size = 50
+	lazy := obs.NewDecisionRing(size)
+	eager := obs.NewDecisionRing(size)
+	mirror := func(ds ...Decision) {
+		for _, d := range ds {
+			eager.Record(event(d))
+		}
+	}
+
+	var cur *obs.Trace
+	var traces []*obs.Trace
+	for step := 0; step < 40; step++ {
+		switch step % 4 {
+		case 0:
+			cur = obs.NewTrace()
+			traces = append(traces, cur)
+		case 3:
+			cur = nil
+		}
+		m := Compose(&ERM{}, WithGen(uint64(1+step/10), uint64(step+1)),
+			WithObs(func() *obs.Trace { return cur }, lazy))
+		site, other := a, b
+		if step%3 == 1 {
+			site, other = b, a
+		}
+		p := Principal(site, Ring(1+step%3), "script")
+		region := obsRegion(site, step%7)
+		region = append(region, Object(other, 2, UniformACL(2), "foreign"))
+		mirror(AuthorizeBatch(m, p, Op(1+step%3), region)...)
+		mirror(m.Authorize(p, OpWrite, Object(site, 3, UniformACL(1), "")))
+		mirror(m.Authorize(p, OpUse, Object(site, 0, UniformACL(3), "cookie")))
+	}
+	if lazy.Total() <= size || lazy.Total() != eager.Total() || lazy.Len() != eager.Len() {
+		t.Fatalf("totals: lazy %d/%d, eager %d/%d (ring size %d)",
+			lazy.Len(), lazy.Total(), eager.Len(), eager.Total(), size)
+	}
+
+	filters := []obs.RingFilter{
+		obs.MatchAny,
+		{Verdict: "allow", Ring: -1},
+		{Verdict: "deny", Ring: -1},
+		{Origin: a.String(), Ring: -1},
+		{Origin: b.String(), Ring: -1},
+		{Origin: b.String(), Verdict: "deny", Ring: 2},
+		{TraceID: "no-such-trace", Ring: -1},
+	}
+	for r := 0; r <= 3; r++ {
+		filters = append(filters, obs.RingFilter{Ring: r})
+	}
+	for _, tr := range traces {
+		filters = append(filters, obs.RingFilter{TraceID: tr.ID(), Ring: -1})
+	}
+	var denied, matchedTrace bool
+	for _, f := range filters {
+		got, want := lazy.Snapshot(f), eager.Snapshot(f)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("filter %+v: lazy snapshot diverges from eager\nlazy:  %+v\neager: %+v", f, got, want)
+		}
+		denied = denied || (f.Verdict == "deny" && len(got) > 0)
+		matchedTrace = matchedTrace || (f.TraceID != "" && len(got) > 0)
+	}
+	if !denied || !matchedTrace {
+		t.Fatalf("stream too thin to pin filters: denials %v, traced events %v", denied, matchedTrace)
+	}
+	all := lazy.Snapshot(obs.MatchAny)
+	if all[0].Seq != lazy.Total()-size+1 || all[len(all)-1].Seq != lazy.Total() {
+		t.Fatalf("retained seqs %d..%d, want %d..%d", all[0].Seq, all[len(all)-1].Seq,
+			lazy.Total()-size+1, lazy.Total())
+	}
+}
+
+// TestDecisionRingConcurrentRecordSnapshot races sessions recording
+// batches and scalars into one ring against /tracez-style readers:
+// every snapshot is a contiguous, fully rendered window. Run it under
+// -race.
+func TestDecisionRingConcurrentRecordSnapshot(t *testing.T) {
+	site := origin.MustParse("http://site.example")
+	ring := obs.NewDecisionRing(128)
+	const writers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tr := obs.NewTrace()
+			m := Compose(&ERM{}, WithObs(func() *obs.Trace { return tr }, ring))
+			p := Principal(site, 1, fmt.Sprintf("writer-%d", w))
+			for i := 0; i < rounds; i++ {
+				AuthorizeBatch(m, p, OpRead, obsRegion(site, 1+i%40))
+				m.Authorize(p, OpWrite, Object(site, 3, UniformACL(2), "x"))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		events := ring.Snapshot(obs.MatchAny)
+		for i, e := range events {
+			if i > 0 && e.Seq != events[i-1].Seq+1 {
+				t.Fatalf("snapshot not contiguous: seq %d after %d", e.Seq, events[i-1].Seq)
+			}
+			if e.Origin != site.String() || e.TraceID == "" || e.Object == "" {
+				t.Fatalf("event %d badly rendered: %+v", e.Seq, e)
+			}
+		}
+	}
+	want := uint64(0)
+	for i := 0; i < rounds; i++ {
+		want += uint64(1 + i%40 + 1)
+	}
+	if got := ring.Total(); got != writers*want {
+		t.Fatalf("ring total %d, want %d", got, writers*want)
+	}
+	if got := len(ring.Snapshot(obs.MatchAny)); got != 128 {
+		t.Fatalf("final snapshot holds %d events, want 128", got)
 	}
 }

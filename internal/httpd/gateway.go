@@ -310,6 +310,7 @@ type Gateway struct {
 
 	srv      *http.Server
 	ln       net.Listener
+	wrapLn   func(net.Listener) net.Listener // tests: intercepts accepted conns
 	quit     chan struct{}
 	stopOnce sync.Once
 	workers  sync.WaitGroup
@@ -507,6 +508,9 @@ func (g *Gateway) Start(addr string) error {
 		g.mountMu.Unlock()
 		return fmt.Errorf("httpd: listen %s: %w", addr, err)
 	}
+	if g.wrapLn != nil {
+		ln = g.wrapLn(ln)
+	}
 	g.ln = ln
 	serveLn := ln
 	if g.cfg.TLS != nil {
@@ -547,11 +551,33 @@ func (g *Gateway) Addr() string {
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	var err error
 	if g.srv != nil {
-		err = g.srv.Shutdown(ctx)
+		err = g.drain(ctx)
 	}
 	g.stopOnce.Do(func() { close(g.quit) })
 	g.workers.Wait()
 	return err
+}
+
+// regoawayEvery is how often drain re-sends GOAWAY while it waits.
+const regoawayEvery = 100 * time.Millisecond
+
+// drain runs http.Server.Shutdown in slices of regoawayEvery until the
+// server is quiescent or ctx ends. Each call re-runs the server's
+// shutdown hooks, and the h2 hook sends GOAWAY only to the connections
+// registered at that moment: a TLS handshake that completes after the
+// first call yields an h2 connection that was never told to drain, and
+// one Shutdown would wait on it until ctx expired. The next slice's
+// call reaches it, so every h2 connection drains like the others —
+// its streams finish, then it closes.
+func (g *Gateway) drain(ctx context.Context) error {
+	for {
+		slice, cancel := context.WithTimeout(ctx, regoawayEvery)
+		err := g.srv.Shutdown(slice)
+		cancel()
+		if ctx.Err() != nil || !errors.Is(err, context.DeadlineExceeded) {
+			return err
+		}
+	}
 }
 
 // Close is Shutdown with a 5-second deadline.

@@ -5,6 +5,8 @@ import (
 	"crypto/tls"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -272,7 +274,16 @@ func TestClientConnReuse(t *testing.T) {
 func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	n := web.NewNetwork()
 	o := origin.MustParse("http://slow.example")
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
 	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
 		time.Sleep(50 * time.Millisecond)
 		return web.HTML("<html><body>done</body></html>")
 	}))
@@ -296,8 +307,16 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 			results[i] = err
 		}(i)
 	}
-	// Let the requests reach the gateway before shutting down.
-	time.Sleep(20 * time.Millisecond)
+	// Every request reaches the gateway before shutting down: the one
+	// worker holds the first in the handler and the rest are queued.
+	<-entered
+	jobs := g.table.Load().byOrigin[o].jobs
+	for deadline := time.Now().Add(10 * time.Second); len(jobs) < inflight-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests queued at the gateway", len(jobs)+1, inflight)
+		}
+	}
+	openGate()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := g.Shutdown(ctx); err != nil {
@@ -320,5 +339,173 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	// And the listener really is closed.
 	if _, err := ct.RoundTrip(web.NewRequest("GET", o.URL("/"))); err == nil {
 		t.Fatal("round trip succeeded after Shutdown")
+	}
+}
+
+// holdListener accepts normally, except that the TLS handshake of the
+// held'th accepted connection (its first Read) waits until release is
+// closed.
+type holdListener struct {
+	net.Listener
+	held     int
+	n        int           // accepted so far; Accept runs on one goroutine
+	accepted chan struct{} // closed when the held connection is accepted
+	release  chan struct{}
+}
+
+func (l *holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if l.n++; l.n == l.held {
+		close(l.accepted)
+		return &heldConn{Conn: c, release: l.release}, nil
+	}
+	return c, nil
+}
+
+// heldConn blocks reads until release is closed.
+type heldConn struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (c *heldConn) Read(p []byte) (int, error) {
+	<-c.release
+	return c.Conn.Read(p)
+}
+
+// dialIdleH2 opens a TLS connection negotiating h2 and sends the client
+// preface and an empty SETTINGS frame, then sends nothing more: an h2
+// client holding an idle pooled connection.
+func dialIdleH2(addr string, ca *CA) (*tls.Conn, error) {
+	c, err := tls.Dial("tcp", addr, &tls.Config{
+		RootCAs:    ca.Pool(),
+		ServerName: "app.example",
+		NextProtos: []string{"h2"},
+	})
+	if err != nil {
+		return nil, err
+	}
+	if p := c.ConnectionState().NegotiatedProtocol; p != "h2" {
+		c.Close()
+		return nil, fmt.Errorf("negotiated %q, want h2", p)
+	}
+	preface := append([]byte("PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"), 0, 0, 0, h2FrameSettings, 0, 0, 0, 0, 0)
+	if _, err := c.Write(preface); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// h2 frame types read by the tests.
+const (
+	h2FrameSettings = 0x4
+	h2FrameGoAway   = 0x7
+)
+
+// awaitH2Frame reads h2 frames from c until one of type typ arrives.
+func awaitH2Frame(c net.Conn, typ byte, within time.Duration) error {
+	if err := c.SetReadDeadline(time.Now().Add(within)); err != nil {
+		return err
+	}
+	var hdr [9]byte
+	for {
+		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+			return err
+		}
+		n := int64(hdr[0])<<16 | int64(hdr[1])<<8 | int64(hdr[2])
+		if _, err := io.CopyN(io.Discard, c, n); err != nil {
+			return err
+		}
+		if hdr[3] == typ {
+			return nil
+		}
+	}
+}
+
+// TestShutdownDrainsLateH2Conn pins the graceful-shutdown hang under
+// TLS: an h2 connection whose handshake completes after Shutdown has
+// sent GOAWAY to every registered connection must still be told to
+// drain, so Shutdown returns instead of waiting out its deadline. The
+// listener holds the second connection's handshake until the first
+// connection has received its GOAWAY, so the late registration happens
+// on every run, however loaded the machine.
+func TestShutdownDrainsLateH2Conn(t *testing.T) {
+	n, _ := tlsTestNetwork(t, "<html><body>ok</body></html>")
+	ca, err := NewCA()
+	if err != nil {
+		t.Fatalf("NewCA: %v", err)
+	}
+	g, err := New(Config{Inner: n, TLS: ca})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := g.MountNetwork(n); err != nil {
+		t.Fatalf("MountNetwork: %v", err)
+	}
+	hold := &holdListener{held: 2, accepted: make(chan struct{}), release: make(chan struct{})}
+	g.wrapLn = func(ln net.Listener) net.Listener {
+		hold.Listener = ln
+		return hold
+	}
+	release := sync.OnceFunc(func() { close(hold.release) })
+	if err := g.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() {
+		release()
+		g.Close()
+	})
+
+	early, err := dialIdleH2(g.Addr(), ca)
+	if err != nil {
+		t.Fatalf("early dial: %v", err)
+	}
+	defer early.Close()
+	// The server's SETTINGS frame follows its registration of the
+	// connection for graceful shutdown.
+	if err := awaitH2Frame(early, h2FrameSettings, 5*time.Second); err != nil {
+		t.Fatalf("early connection never got SETTINGS: %v", err)
+	}
+
+	type dialed struct {
+		c   *tls.Conn
+		err error
+	}
+	lateCh := make(chan dialed, 1)
+	go func() {
+		c, err := dialIdleH2(g.Addr(), ca)
+		lateCh <- dialed{c, err}
+	}()
+	<-hold.accepted
+
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shutdownErr <- g.Shutdown(ctx)
+	}()
+	// The early connection's GOAWAY proves Shutdown has sent its first
+	// round; only now may the late handshake complete.
+	if err := awaitH2Frame(early, h2FrameGoAway, 5*time.Second); err != nil {
+		t.Fatalf("early connection never got GOAWAY: %v", err)
+	}
+	early.Close()
+	release()
+
+	late := <-lateCh
+	if late.err != nil {
+		t.Fatalf("late dial: %v", late.err)
+	}
+	defer late.c.Close()
+	if err := awaitH2Frame(late.c, h2FrameGoAway, 5*time.Second); err != nil {
+		t.Fatalf("late connection never got GOAWAY: %v", err)
+	}
+	late.c.Close()
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }

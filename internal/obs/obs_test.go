@@ -256,3 +256,42 @@ func TestVersionStamp(t *testing.T) {
 		t.Fatal("GOMAXPROCS must not affect binary identity")
 	}
 }
+
+// spanRun is an EventSource whose i'th event carries span first+i.
+type spanRun struct{ first, n int }
+
+func (s spanRun) Len() int { return s.n }
+func (s spanRun) Event(i int) DecisionEvent {
+	return DecisionEvent{Span: uint64(s.first + i), Origin: "a.test"}
+}
+
+// TestDecisionRingRecordBatchWindow pins run bookkeeping: a run larger
+// than the ring keeps only its tail, a run straddling the window keeps
+// its newer events, and every event keeps its own Seq.
+func TestDecisionRingRecordBatchWindow(t *testing.T) {
+	r := NewDecisionRing(4)
+	r.RecordBatch(spanRun{first: 1, n: 6})
+	r.RecordBatch(spanRun{first: 100, n: 0}) // empty runs record nothing
+	check := func(wantSpans ...uint64) {
+		t.Helper()
+		got := r.Snapshot(MatchAny)
+		if len(got) != len(wantSpans) || r.Len() != len(wantSpans) {
+			t.Fatalf("snapshot %+v (Len %d), want spans %v", got, r.Len(), wantSpans)
+		}
+		for i, e := range got {
+			if e.Span != wantSpans[i] || e.Seq != r.Total()-uint64(len(got)-1-i) {
+				t.Fatalf("event %d = span %d seq %d, want span %d seq %d",
+					i, e.Span, e.Seq, wantSpans[i], r.Total()-uint64(len(got)-1-i))
+			}
+		}
+	}
+	check(3, 4, 5, 6)
+	r.Record(DecisionEvent{Span: 7})
+	r.RecordBatch(spanRun{first: 8, n: 2})
+	check(6, 7, 8, 9)
+	r.RecordBatch(spanRun{first: 10, n: 3})
+	check(9, 10, 11, 12)
+	if r.Total() != 12 {
+		t.Fatalf("Total %d, want 12", r.Total())
+	}
+}

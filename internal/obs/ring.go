@@ -4,7 +4,7 @@ import "sync"
 
 // DecisionEvent is one audited decision flattened into plain fields —
 // no core types, so the ring can live below core in the import graph.
-// The WithObs pipeline layer builds these from core.Decisions.
+// Core renders these from its decisions when the ring is read.
 type DecisionEvent struct {
 	// TraceID/Span place the decision in its causal trace; empty/zero
 	// when the decision happened outside any traced task.
@@ -30,15 +30,44 @@ type DecisionEvent struct {
 	Object    string `json:"object"`
 }
 
+// EventSource is a run of recorded decisions that the ring renders
+// only when read. The WithObs pipeline layer implements it over the
+// []core.Decision slice a batch authorization returned, so the record
+// path formats nothing; obs never imports core.
+//
+// A source is retained until the ring overwrites its last event, and
+// Event may be called from a reader at any time during that window, so
+// the data behind it must never change after it is recorded. For
+// decision slices that is the BatchAuthorizer contract: a returned
+// slice is shared with the audit stream (AuditLog.RecordAll) and the
+// ring, and nobody mutates it.
+type EventSource interface {
+	// Len is the number of events in the run; it must not change.
+	Len() int
+	// Event renders the i'th event. Its Seq is ignored: the ring
+	// numbers events itself.
+	Event(i int) DecisionEvent
+}
+
 // DecisionRing keeps the last N decision events for the admin /tracez
 // endpoint. Recording overwrites the oldest entry; snapshots return
-// events oldest-first. It is safe for concurrent use — Record takes
-// one mutex and copies one struct, cheap enough for the audit path,
-// and readers are rare (admin polls).
+// events oldest-first. It is safe for concurrent use.
+//
+// Events are rendered on read, not on record: each slot refers to one
+// event of a recorded EventSource, and Snapshot renders the retained
+// events. RecordBatch takes one mutex per run and formats nothing, so
+// mirroring every audited decision costs the audit path a slot write
+// per decision; the formatting happens only when an admin polls.
 type DecisionRing struct {
 	mu   sync.Mutex
-	buf  []DecisionEvent
+	buf  []eventRef
 	next uint64 // total events ever recorded
+}
+
+// eventRef is one ring slot: the i'th event of src.
+type eventRef struct {
+	src EventSource
+	i   int
 }
 
 // DefaultRingSize is the decision-history depth when NewDecisionRing
@@ -50,15 +79,33 @@ func NewDecisionRing(n int) *DecisionRing {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	return &DecisionRing{buf: make([]DecisionEvent, n)}
+	return &DecisionRing{buf: make([]eventRef, n)}
 }
 
-// Record appends one event, overwriting the oldest when full.
+// renderedEvent is an already-rendered event recorded through Record.
+type renderedEvent DecisionEvent
+
+func (e *renderedEvent) Len() int                { return 1 }
+func (e *renderedEvent) Event(int) DecisionEvent { return DecisionEvent(*e) }
+
+// Record appends one already-rendered event, overwriting the oldest
+// when full.
 func (r *DecisionRing) Record(e DecisionEvent) {
+	r.RecordBatch((*renderedEvent)(&e))
+}
+
+// RecordBatch appends every event of src in order, overwriting the
+// oldest when full. src is retained and rendered on read; see
+// EventSource for the immutability it must keep.
+func (r *DecisionRing) RecordBatch(src EventSource) {
+	n := src.Len()
+	size := uint64(len(r.buf))
 	r.mu.Lock()
-	r.next++
-	e.Seq = r.next
-	r.buf[(r.next-1)%uint64(len(r.buf))] = e
+	// Only the last len(buf) events of an oversized run survive.
+	for i := max(0, n-len(r.buf)); i < n; i++ {
+		r.buf[(r.next+uint64(i))%size] = eventRef{src: src, i: i}
+	}
+	r.next += uint64(n)
 	r.mu.Unlock()
 }
 
@@ -113,20 +160,26 @@ func (f RingFilter) matches(e DecisionEvent) bool {
 	return true
 }
 
-// Snapshot returns the retained events passing the filter, oldest
-// first.
+// Snapshot renders the retained events passing the filter, oldest
+// first. The slots are copied under the lock and rendered outside it,
+// so a large snapshot never stalls recording.
 func (r *DecisionRing) Snapshot(f RingFilter) []DecisionEvent {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	size := uint64(len(r.buf))
 	n := r.next
 	start := uint64(0)
 	if n > size {
 		start = n - size
 	}
-	var out []DecisionEvent
+	refs := make([]eventRef, 0, n-start)
 	for seq := start; seq < n; seq++ {
-		e := r.buf[seq%size]
+		refs = append(refs, r.buf[seq%size])
+	}
+	r.mu.Unlock()
+	var out []DecisionEvent
+	for k, ref := range refs {
+		e := ref.src.Event(ref.i)
+		e.Seq = start + uint64(k) + 1
 		if f.matches(e) {
 			out = append(out, e)
 		}
