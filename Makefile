@@ -7,8 +7,12 @@ GO ?= go
 
 all: build lint test
 
+# perfbench/ is a separate module (replace repro => ../), so ./...
+# never reaches it; build and vet it explicitly so an API change that
+# breaks the benchmark fails here, not only in `bash perfbench/run.sh`.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -38,6 +42,7 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Regenerate BENCH_engine.json with the default load (8 sessions).
 serve:

@@ -98,6 +98,53 @@ func TestServeEmitsBenchJSON(t *testing.T) {
 	}
 }
 
+// TestDefaultLoadBatchCounts pins the batched-authorization counts of
+// the default load (no flags but -out): figure4 authorizes 4175 nodes
+// in 125 distinct decisions, and phpbb and mixed compute 1312 and 512
+// distinct decisions. These are the complete-mediation pins the
+// equivalence invariant promises — no refactor of the monitor stack
+// may change how many decisions the batch path computes. The phpbb and
+// mixed node totals are deliberately not pinned: they vary by a few
+// dozen nodes from run to run.
+func TestDefaultLoadBatchCounts(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
+	if err := run([]string{"-out", out}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("read output: %v", err)
+	}
+	var report benchJSON
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatalf("parse output: %v", err)
+	}
+	batch := map[string]*batchJSON{}
+	for _, ph := range report.Phases {
+		batch[ph.Name] = ph.Batch
+	}
+	for _, want := range []struct {
+		phase           string
+		nodes, distinct uint64
+	}{
+		{"figure4", 4175, 125},
+		{"phpbb", 0, 1312},
+		{"mixed", 0, 512},
+	} {
+		b := batch[want.phase]
+		if b == nil {
+			t.Errorf("phase %s has no batch stats", want.phase)
+			continue
+		}
+		if want.nodes != 0 && b.NodesAuthorized != want.nodes {
+			t.Errorf("%s nodes_authorized = %d, want %d", want.phase, b.NodesAuthorized, want.nodes)
+		}
+		if b.DistinctDecisions != want.distinct {
+			t.Errorf("%s distinct_decisions = %d, want %d", want.phase, b.DistinctDecisions, want.distinct)
+		}
+	}
+}
+
 // TestServeSOPBaseline replays the corpus under the legacy monitor:
 // attacks must succeed there (the paper's Figure-5 contrast), which
 // guards against the cache accidentally hardening SOP mode.

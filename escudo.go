@@ -14,7 +14,7 @@
 //
 //   - the access-control core (rings, ACLs, contexts, the ERM and the
 //     baseline SOP monitor) and the composable monitor pipeline
-//     (Compose with cache/delegation/audit/trace layers),
+//     (Compose with cache, delegation and audit/trace tap layers),
 //   - the unified Policy document (ring count, cookie/API assignments,
 //     §7 delegations) with validation, lossless JSON round-tripping,
 //     and wire delivery via the HTTP gateway,
@@ -101,10 +101,10 @@ func Compose(base Monitor, layers ...MonitorLayer) Monitor { return core.Compose
 func CacheLayer(c *DecisionCache) MonitorLayer { return core.WithCache(c) }
 
 // AuditLayer records every decision in the log; mount it outermost.
-func AuditLayer(log *AuditLog) MonitorLayer { return core.WithAudit(log) }
+func AuditLayer(log *AuditLog) MonitorLayer { return core.WithTap(core.Tap{Log: log}) }
 
 // TraceLayer feeds every decision to fn.
-func TraceLayer(fn func(Decision)) MonitorLayer { return core.WithTrace(fn) }
+func TraceLayer(fn func(Decision)) MonitorLayer { return core.WithTap(core.Tap{OnDecision: fn}) }
 
 // DelegationLayer re-homes delegated cross-origin accesses (§7);
 // mount it outside CacheLayer.
@@ -223,8 +223,8 @@ func WithPolicy(p Policy) Option {
 }
 
 // WithMonitorFactory installs a custom per-page monitor stack. The
-// browser composes its audit layer around whatever the factory
-// returns. Mutually exclusive with WithPolicy.
+// browser composes its observation tap (audit log, trace ring,
+// stamps, timing) around whatever the factory returns. Mutually exclusive with WithPolicy.
 func WithMonitorFactory(f MonitorFactory) Option {
 	return func(c *newConfig) error { c.opts.MonitorFactory = f; return nil }
 }

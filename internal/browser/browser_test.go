@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dom"
 	"repro/internal/html"
+	"repro/internal/obs"
 	"repro/internal/origin"
 	"repro/internal/web"
 )
@@ -86,6 +87,24 @@ func TestNavigatePipeline(t *testing.T) {
 	// History recorded (browser state).
 	if b.History().Len() != 1 || !b.History().Visited(site.URL("/")) {
 		t.Error("history not recorded")
+	}
+}
+
+// TestStageClockInstalledAfterLoad pins per-call clock resolution: a
+// page loaded with no clock installed accrues batch_auth on a clock
+// installed afterwards, because its monitor's tap resolves the clock
+// on every decision rather than when the monitor is built.
+func TestStageClockInstalledAfterLoad(t *testing.T) {
+	b := New(newTestNetwork(), Options{Mode: ModeEscudo})
+	p, err := b.Navigate(site.URL("/"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := obs.NewStageClock()
+	b.SetStageClock(clock)
+	p.RenderText()
+	if clock.Nanos(obs.StageBatchAuth) <= 0 {
+		t.Fatal("monitor built before the clock was installed accrued no batch_auth time")
 	}
 }
 

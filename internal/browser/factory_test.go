@@ -78,7 +78,7 @@ func TestMonitorFactoryMountsMashupMonitor(t *testing.T) {
 		t.Fatal("rogue origin read the portal DOM")
 	}
 
-	// The browser's audit layer recorded the denials even though the
+	// The browser's observation tap recorded the denials even though the
 	// factory's monitor carries no trace hooks of its own.
 	var sawRing, sawOrigin bool
 	for _, d := range b.Audit.Denials() {

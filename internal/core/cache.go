@@ -228,9 +228,9 @@ func (c *DecisionCache) Stats() CacheStats {
 //
 // Deprecated: building monitor stacks out of CachedMonitor literals
 // (with the Trace/TraceBatch hooks wired by hand) is superseded by the
-// pipeline: Compose(inner, WithCache(cache), WithAudit(log)) builds
-// the same stack with the same decision stream, and composes with the
-// delegation and trace layers. The type remains as the caching layer's
+// pipeline: Compose(inner, WithCache(cache), WithTap(Tap{Log: log}))
+// builds the same stack with the same decision stream, and composes
+// with the delegation layer. The type remains as the caching layer's
 // implementation and for existing callers.
 type CachedMonitor struct {
 	// Inner computes decisions on cache misses.

@@ -51,15 +51,15 @@ type Decision struct {
 	Object    Context
 	// TraceID and Span place the decision in the causal trace of the
 	// task that triggered it (see internal/obs). Both are zero when the
-	// decision was made outside any traced task or without a WithObs
-	// layer mounted. They carry provenance only: equality of the policy
-	// outcome is judged on the fields above.
+	// decision was made outside any traced task or under no tap with a
+	// Trace source (see Tap). They carry provenance only: equality of
+	// the policy outcome is judged on the fields above.
 	TraceID string
 	Span    uint64
 	// PolicyGen and PageID pin the decision to the fleet policy
 	// generation its page load captured (see internal/ctlplane) and to
-	// that load's identity. Both are zero without a WithGen layer
-	// mounted. Like TraceID/Span they are provenance only — but the
+	// that load's identity. Both are zero unless a tap pins them (see
+	// Tap.Gen). Like TraceID/Span they are provenance only — but the
 	// control plane's standing invariant ("a page load observes exactly
 	// one policy generation") is audited on them: every decision of one
 	// PageID must carry the same PolicyGen.
@@ -90,9 +90,11 @@ type Monitor interface {
 // permitted iff the Origin rule, the Ring rule, and the ACL rule all
 // permit it (§4.2). The zero value is ready to use.
 type ERM struct {
-	// Trace, when non-nil, receives every decision made. It is used
-	// by the attack harness and the inspect tool; nil disables
-	// tracing with no overhead beyond the nil check.
+	// Trace, when non-nil, receives every decision made; nil disables
+	// tracing with no overhead beyond the nil check. Production stacks
+	// record through WithTap instead: this hook and TraceBatch are the
+	// hard-wired reference the pipeline equivalence tests compare
+	// composed stacks against.
 	Trace func(Decision)
 	// TraceBatch, when non-nil, receives whole batched-authorization
 	// regions in one call (typically AuditLog.RecordAll) instead of
@@ -201,9 +203,11 @@ type auditShard struct {
 	batches []auditBatch
 }
 
-// AuditLog is a concurrency-safe decision recorder that can be plugged
-// into a monitor's Trace hook. The attack harness uses it to explain
-// which rule neutralized each attack.
+// AuditLog is a concurrency-safe decision recorder. Production stacks
+// feed it through the observation tap (Tap.Log), and every browser
+// session owns one; its Record/RecordAll signatures also fit the
+// monitors' Trace/TraceBatch hooks, which is how the equivalence tests
+// build the hard-wired reference stack.
 //
 // Every decision on the hot path flows through Record, so the log is
 // sharded: writers take a global atomic ticket and append under one of

@@ -89,7 +89,7 @@ func TestComposeMatchesHardwiredStack(t *testing.T) {
 			if tc.cached {
 				cacheLayer = WithCache(NewDecisionCache())
 			}
-			newM := Compose(base, cacheLayer, WithAudit(newAudit))
+			newM := Compose(base, cacheLayer, WithTap(Tap{Log: newAudit}))
 
 			driveMonitor(oldM)
 			driveMonitor(newM)
@@ -109,24 +109,9 @@ func TestComposeMatchesHardwiredStack(t *testing.T) {
 // are pass-throughs.
 func TestComposeNilLayers(t *testing.T) {
 	base := &ERM{}
-	m := Compose(base, nil, WithCache(nil), WithAudit(nil), WithTrace(nil), WithDelegations(nil), WithObs(nil, nil))
+	m := Compose(base, nil, WithCache(nil), WithTap(Tap{}), WithDelegations(nil))
 	if m != Monitor(base) {
 		t.Fatalf("nil layers must compose to the base monitor, got %T", m)
-	}
-}
-
-// TestWithTraceUnrollsBatches checks the trace layer sees one decision
-// per node for batched regions.
-func TestWithTraceUnrollsBatches(t *testing.T) {
-	var seen []Decision
-	m := Compose(&ERM{}, WithTrace(func(d Decision) { seen = append(seen, d) }))
-	p, _, batchOp, region := pipeQueries()
-	out := AuthorizeBatch(m, p, batchOp, region)
-	if len(out) != len(region) || len(seen) != len(region) {
-		t.Fatalf("batch returned %d decisions, trace saw %d, want %d", len(out), len(seen), len(region))
-	}
-	if !reflect.DeepEqual(out, seen) {
-		t.Fatal("trace stream diverges from returned decisions")
 	}
 }
 
@@ -148,7 +133,7 @@ func TestDelegationLayer(t *testing.T) {
 	src := floorMap{{host, guest}: 2}
 
 	audit := &AuditLog{}
-	m := Compose(&ERM{}, WithDelegations(src), WithAudit(audit))
+	m := Compose(&ERM{}, WithDelegations(src), WithTap(Tap{Log: audit}))
 
 	gp := Principal(guest, 0, "widget")
 	slot := Object(host, 2, UniformACL(2), "slot")

@@ -101,7 +101,7 @@ func (p *Policy) All() []Delegation {
 // admitted only under a declared delegation, with the guest's ring
 // floored. It is now a pre-composed pipeline —
 // core.Compose(&core.ERM{}, core.WithDelegations(policy),
-// core.WithTrace(trace)) — kept as a named type so it can be handed to
+// core.WithTap(core.Tap{OnDecision: trace})) — kept as a named type so it can be handed to
 // browser.Options.MonitorFactory (and existing callers) directly.
 // Like every pipeline layer it implements core.BatchAuthorizer, so
 // region reads inside a real browser session keep their per-class
@@ -129,7 +129,7 @@ func (m *Monitor) monitor() core.Monitor {
 	if m.Policy != nil {
 		src = m.Policy
 	}
-	return core.Compose(&core.ERM{}, core.WithDelegations(src), core.WithTrace(m.Trace))
+	return core.Compose(&core.ERM{}, core.WithDelegations(src), core.WithTap(core.Tap{OnDecision: m.Trace}))
 }
 
 // Authorize implements core.Monitor.

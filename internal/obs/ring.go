@@ -31,9 +31,10 @@ type DecisionEvent struct {
 }
 
 // EventSource is a run of recorded decisions that the ring renders
-// only when read. The WithObs pipeline layer implements it over the
-// []core.Decision slice a batch authorization returned, so the record
-// path formats nothing; obs never imports core.
+// only when read. The monitor pipeline's observation tap (core.WithTap)
+// implements it over the []core.Decision slice a batch authorization
+// returned, so the record path formats nothing; obs never imports
+// core.
 //
 // A source is retained until the ring overwrites its last event, and
 // Event may be called from a reader at any time during that window, so
