@@ -80,9 +80,9 @@ reload-smoke:
 # Leak-hunting soak: SOAK seconds of mixed load through the loopback
 # gateway under the race detector, with the runtime sampler recording
 # goroutine/heap shape every 200ms into the report's obs section. CI
-# gates on the sampler's verdict: goroutines must return to a fixed
-# band of the post-warmup count and the heap must not grow
-# monotonically across samples.
+# gates on the sampler's verdicts: goroutines must return to a fixed
+# band of the post-warmup count, and the soak window's least-squares
+# leak watch (obs.leak) must not suspect a leak.
 SOAK ?= 30s
 soak:
 	$(GO) run -race ./cmd/escudo-serve -sessions 4 -iters 1 -phpbb-iters 2 -mixed-iters 2 \

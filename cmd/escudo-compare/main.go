@@ -185,7 +185,6 @@ type obsSampler struct {
 	Goroutines           obsSeries `json:"goroutines"`
 	PostWarmupGoroutines int64     `json:"post_warmup_goroutines"`
 	HeapAllocBytes       obsSeries `json:"heap_alloc_bytes"`
-	HeapMonotonic        bool      `json:"heap_monotonic"`
 	GCPauseTotalMs       float64   `json:"gc_pause_total_ms"`
 	NumGC                uint32    `json:"num_gc"`
 }
@@ -506,9 +505,9 @@ func compareControl(out *os.File, oldC, newC *controlSection) {
 
 // describeObs renders one report's runtime-health summary on a line.
 func describeObs(o *obsSection) string {
-	return fmt.Sprintf("%s, goroutines post-warmup/last %d/%d, heap last %.1f MiB (monotonic=%v), %d GC cycles, %d decision events",
+	return fmt.Sprintf("%s, goroutines post-warmup/last %d/%d, heap last %.1f MiB, %d GC cycles, %d decision events",
 		o.Version.Go, o.Sampler.PostWarmupGoroutines, o.Sampler.Goroutines.Last,
-		float64(o.Sampler.HeapAllocBytes.Last)/(1<<20), o.Sampler.HeapMonotonic,
+		float64(o.Sampler.HeapAllocBytes.Last)/(1<<20),
 		o.Sampler.NumGC, o.DecisionEventsRecorded)
 }
 

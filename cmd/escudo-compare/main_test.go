@@ -257,7 +257,7 @@ const oldObsJSON = `{
       "goroutines": {"first": 20, "last": 21, "min": 18, "max": 30},
       "post_warmup_goroutines": 20,
       "heap_alloc_bytes": {"first": 10485760, "last": 10485760, "min": 8388608, "max": 20971520},
-      "heap_monotonic": false, "gc_pause_total_ms": 1.5, "num_gc": 4
+      "gc_pause_total_ms": 1.5, "num_gc": 4
     },
     "decision_events_recorded": 4000
   }
@@ -273,7 +273,7 @@ const newObsJSON = `{
       "goroutines": {"first": 20, "last": 24, "min": 18, "max": 35},
       "post_warmup_goroutines": 22,
       "heap_alloc_bytes": {"first": 10485760, "last": 12582912, "min": 8388608, "max": 25165824},
-      "heap_monotonic": false, "gc_pause_total_ms": 2.0, "num_gc": 6
+      "gc_pause_total_ms": 2.0, "num_gc": 6
     },
     "decision_events_recorded": 5000
   }

@@ -19,12 +19,10 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/apps/phpbb"
 	"repro/internal/apps/phpcal"
-	"repro/internal/attack"
 	"repro/internal/browser"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -39,29 +37,25 @@ import (
 	"repro/internal/web"
 )
 
-// parseMode maps the -mode flag onto a browser mode.
-func parseMode(s string) (browser.Mode, error) {
-	switch s {
-	case "escudo":
-		return browser.ModeEscudo, nil
-	case "sop":
-		return browser.ModeSOP, nil
-	default:
-		return 0, fmt.Errorf("unknown -mode %q", s)
-	}
-}
+// The substrate's origins. Server and worker processes agree on them
+// by construction: they are fixed names, and a worker only ever
+// reaches them through the gateway.
+var (
+	benchOrigin  = origin.MustParse("http://bench.example")
+	forumOrigin  = origin.MustParse("http://forum.example")
+	calOrigin    = origin.MustParse("http://cal.example")
+	portalOrigin = origin.MustParse("http://portal.example")
+	widgetOrigin = origin.MustParse("http://widget.example")
+)
 
 // substrate is the shared benchmark world: the Figure-4 scenario
-// server, phpBB, PHP-Calendar, the mashup portal and its widget, and
-// the origins' unified policy documents. Server and worker processes
-// agree on it by construction — the origins are fixed names, and the
-// worker only ever talks to them through the gateway.
+// server, phpBB, PHP-Calendar, the mashup portal and its widget on one
+// network, and the origins' unified policy documents.
 type substrate struct {
-	net                               *web.Network
-	bench, forum, cal, portal, widget origin.Origin
-	topicID                           int
-	portalPolicy                      policy.Policy
-	policies                          map[string]policy.Policy
+	net          *web.Network
+	topicID      int
+	portalPolicy policy.Policy
+	policies     map[string]policy.Policy
 }
 
 // substrateOrigins and substratePolicies are the counts the cluster
@@ -72,65 +66,46 @@ const (
 )
 
 // buildSubstrate assembles the substrate with one phpBB/PHP-Calendar
-// account per session.
+// account per user.
 func buildSubstrate(users int) *substrate {
-	s := &substrate{
-		net:    web.NewNetwork(),
-		bench:  origin.MustParse("http://bench.example"),
-		forum:  origin.MustParse("http://forum.example"),
-		cal:    origin.MustParse("http://cal.example"),
-		portal: origin.MustParse("http://portal.example"),
-		widget: origin.MustParse("http://widget.example"),
-	}
-	s.net.Register(s.bench, scenarios.Handler())
+	s := &substrate{net: web.NewNetwork()}
+	s.net.Register(benchOrigin, scenarios.Handler())
 
 	forum := phpbb.New(phpbb.Config{
-		Origin: s.forum, Hardened: false, Escudo: true, Nonces: nonce.CryptoSource{},
+		Origin: forumOrigin, Hardened: false, Escudo: true, Nonces: nonce.CryptoSource{},
 	})
 	for i := 0; i < users; i++ {
 		forum.AddUser(fmt.Sprintf("user%d", i), "pw")
 	}
 	s.topicID = forum.SeedTopic("user0", "Welcome", "first post")
-	s.net.Register(s.forum, forum)
+	s.net.Register(forumOrigin, forum)
 
 	cal := phpcal.New(phpcal.Config{
-		Origin: s.cal, Hardened: false, Escudo: true, Nonces: nonce.CryptoSource{},
+		Origin: calOrigin, Hardened: false, Escudo: true, Nonces: nonce.CryptoSource{},
 	})
 	for i := 0; i < users; i++ {
 		cal.AddUser(fmt.Sprintf("user%d", i), "pw")
 	}
 	cal.SeedEvent("user0", 1, "kickoff")
-	s.net.Register(s.cal, cal)
+	s.net.Register(calOrigin, cal)
 
-	s.net.Register(s.portal, portalHandler())
-	s.net.Register(s.widget, web.HandlerFunc(func(req *web.Request) *web.Response {
+	s.net.Register(portalOrigin, portalHandler())
+	s.net.Register(widgetOrigin, web.HandlerFunc(func(req *web.Request) *web.Response {
 		return web.HTML(`<html><body><p id=w>widget content</p></body></html>`)
 	}))
 
 	// The unified policy documents: derived from the apps' Table 3/
 	// Table 5 configurations and the scenario server, plus the
 	// portal's §7 delegation of ring 2 to the widget origin.
-	s.portalPolicy = policy.New(s.portal, core.DefaultMaxRing)
-	s.portalPolicy.Delegate(s.widget, 2)
+	s.portalPolicy = policy.New(portalOrigin, core.DefaultMaxRing)
+	s.portalPolicy.Delegate(widgetOrigin, 2)
 	s.policies = map[string]policy.Policy{
-		s.bench.String():  scenarios.Policy(s.bench),
-		s.forum.String():  forum.Policy(),
-		s.cal.String():    cal.Policy(),
-		s.portal.String(): s.portalPolicy,
+		benchOrigin.String():  scenarios.Policy(benchOrigin),
+		forumOrigin.String():  forum.Policy(),
+		calOrigin.String():    cal.Policy(),
+		portalOrigin.String(): s.portalPolicy,
 	}
 	return s
-}
-
-// serveOnlyConfig parameterizes the server process.
-type serveOnlyConfig struct {
-	addr           string
-	sessions       int
-	accounts       int
-	workers, queue int
-	tls            bool
-	tlsCAOut       string
-	addrFile       string
-	statsFile      string
 }
 
 // runServeOnly mounts the substrate on a gateway and serves until the
@@ -140,46 +115,30 @@ type serveOnlyConfig struct {
 // as the listener is bound (so a supervisor can begin polling), and
 // /healthz flips from "starting" to ok only after a warm self-check
 // round-trips a scenario page through the full stack.
-func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
+func runServeOnly(c *config, stop <-chan struct{}) error {
+	addr := c.httpAddr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
 	// A cluster supervisor passes -accounts workers×sessions so every
 	// worker process gets a private, non-overlapping phpBB account
 	// range; a bare serve-only run registers one account per session.
-	users := cfg.sessions
-	if cfg.accounts > users {
-		users = cfg.accounts
-	}
-	sub := buildSubstrate(users)
-	originCfgs := map[string]httpd.OriginConfig{}
-	for o, doc := range sub.policies {
-		doc := doc
-		originCfgs[o] = httpd.OriginConfig{Policy: &doc}
+	sub := buildSubstrate(max(c.sessions, c.accounts))
+	gwCfg, err := gatewayConfig(sub.policies, c.httpWorkers, c.httpQueue, c.tls)
+	if err != nil {
+		return err
 	}
 	// The server's observability plane: registry on /varz, a decision
 	// ring on /tracez (enforcement runs in the workers, so the server's
 	// ring stays empty — the endpoint existing uniformly across modes
 	// is the point), and a runtime sampler for the server process.
 	reg := obs.NewRegistry()
-	ring := obs.NewDecisionRing(0)
 	smp := obs.NewSampler(reg, 200*time.Millisecond)
 	smp.Start()
-	gwCfg := httpd.Config{
-		Inner:             sub.net,
-		DefaultWorkers:    cfg.workers,
-		DefaultQueueDepth: cfg.queue,
-		Origins:           originCfgs,
-		HoldReady:         true,
-		Obs:               reg,
-		Ring:              ring,
-	}
-	var ca *httpd.CA
-	if cfg.tls {
-		c, err := httpd.NewCA()
-		if err != nil {
-			return err
-		}
-		ca = c
-		gwCfg.TLS = ca
-	}
+	gwCfg.Inner = sub.net
+	gwCfg.HoldReady = true
+	gwCfg.Obs = reg
+	gwCfg.Ring = obs.NewDecisionRing(0)
 	gw, err := httpd.New(gwCfg)
 	if err != nil {
 		return err
@@ -187,23 +146,20 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	if err := gw.MountNetwork(sub.net); err != nil {
 		return err
 	}
-	if err := gw.Start(cfg.addr); err != nil {
+	if err := gw.Start(addr); err != nil {
 		return err
 	}
 	defer gw.Close() //nolint:errcheck // second Shutdown is a no-op
 
 	// Publish the trust anchor before the address: a worker that can
 	// read the address must already be able to read the CA.
-	if cfg.tlsCAOut != "" {
-		if ca == nil {
-			return fmt.Errorf("-tls-ca-out given without -tls")
-		}
-		if err := ca.WriteCertPEM(cfg.tlsCAOut); err != nil {
+	if c.tlsCAOut != "" {
+		if err := gwCfg.TLS.WriteCertPEM(c.tlsCAOut); err != nil {
 			return err
 		}
 	}
-	if cfg.addrFile != "" {
-		if err := os.WriteFile(cfg.addrFile, []byte(gw.Addr()), 0o644); err != nil {
+	if c.addrFile != "" {
+		if err := os.WriteFile(c.addrFile, []byte(gw.Addr()), 0o644); err != nil {
 			return err
 		}
 	}
@@ -212,12 +168,12 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	// (socket, vhosting, worker queue, and TLS when on) before
 	// declaring readiness.
 	var ct *httpd.ClientTransport
-	if ca != nil {
-		ct = httpd.NewClientTransportTLS(gw.Addr(), ca.Pool())
+	if gwCfg.TLS != nil {
+		ct = httpd.NewClientTransportTLS(gw.Addr(), gwCfg.TLS.Pool())
 	} else {
 		ct = httpd.NewClientTransport(gw.Addr())
 	}
-	resp, err := ct.RoundTrip(web.NewRequest("GET", sub.bench.URL(scenarios.Paths()[0])))
+	resp, err := ct.RoundTrip(web.NewRequest("GET", benchOrigin.URL(scenarioPaths[0])))
 	ct.Close()
 	if err != nil {
 		return fmt.Errorf("self-check: %w", err)
@@ -228,7 +184,7 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	gw.SetReady(true)
 	smp.Mark()
 	fmt.Printf("escudo-serve: serving %d origins at %s (tls=%v), ready\n",
-		substrateOrigins, gw.Addr(), cfg.tls)
+		substrateOrigins, gw.Addr(), c.tls)
 
 	<-stop
 	fmt.Println("escudo-serve: SIGTERM, draining")
@@ -237,46 +193,21 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	if err := gw.Shutdown(ctx); err != nil {
 		return fmt.Errorf("graceful shutdown: %w", err)
 	}
-	if cfg.statsFile != "" {
+	if c.statsFile != "" {
 		sampStats := smp.Stop()
-		st := cluster.ServerStats{
+		if err := writeJSON(c.statsFile, cluster.ServerStats{
 			Addr:    gw.Addr(),
-			TLS:     cfg.tls,
+			TLS:     c.tls,
 			Origins: substrateOrigins,
 			Gateway: gw.Stats(),
 			Version: obs.Version(),
 			Obs:     &sampStats,
-		}
-		data, err := json.MarshalIndent(st, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.statsFile, append(data, '\n'), 0o644); err != nil {
+		}); err != nil {
 			return err
 		}
 	}
 	fmt.Println("escudo-serve: shut down cleanly")
 	return nil
-}
-
-// connectConfig parameterizes a loadgen worker process.
-type connectConfig struct {
-	addr            string
-	sessions, iters int
-	phpbbIters      int
-	mode            browser.Mode
-	uncached        bool
-	attacksOn       bool
-	tls             bool
-	tlsCAFile       string
-	workerID        int
-	httpWorkers     int
-	httpQueue       int
-	// openloop, when rate > 0, appends an open-loop SLO phase against
-	// the remote gateway and writes its mergeable fragment to the
-	// shard.
-	openloop openLoopSpec
-	out      string
 }
 
 // clusterTopicID is the seeded phpBB topic every worker browses.
@@ -285,95 +216,45 @@ type connectConfig struct {
 // construction — workers can rely on it without a discovery round-trip.
 const clusterTopicID = 1
 
-// clusterAccount names the phpBB/PHP-Calendar account a session owns:
-// worker w's sessions take the contiguous block [w×sessions,
-// (w+1)×sessions). The ranges are disjoint across workers, so no two
-// processes ever share a login — each account's cookie jar, posts, and
-// decision stream belong to exactly one session fleet-wide.
-func clusterAccount(workerID, sessions, sessionID int) string {
-	return fmt.Sprintf("user%d", workerID*sessions+sessionID)
-}
-
-// runShardPhase measures one worker phase: per-task latency across
-// the pool (point percentiles AND the mergeable histogram) plus the
-// client transport's request delta for throughput.
-func runShardPhase(pool *engine.Pool, ct *httpd.ClientTransport, name string, fn func()) (cluster.ShardPhase, []error) {
-	pool.ResetStats()
-	before := ct.Stats()
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-	st := pool.Stats()
-	wire := ct.Stats().Sub(before)
-	ph := cluster.ShardPhase{
-		Name:      name,
-		Tasks:     st.Tasks,
-		Errors:    len(st.Errors),
-		P50Ms:     ms(st.P50),
-		P99Ms:     ms(st.P99),
-		MeanMs:    ms(st.Mean),
-		ElapsedMs: ms(elapsed),
-		Requests:  wire.Requests,
-		Hist:      st.Hist,
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		ph.ReqsPerSec = float64(wire.Requests) / secs
-	}
-	return ph, st.Errors
-}
-
 // runConnect is the worker process: it trusts the remote gateway (via
-// the CA bundle when TLS), replays the figure-4 workload over the
-// process boundary, replays the §6.4 attack corpus over per-
+// the CA bundle when TLS), replays the figure-4 and phpBB workloads
+// over the process boundary, replays the §6.4 attack corpus over per-
 // environment local gateways (TLS when -tls), cross-checks every
 // socket verdict against an in-memory run of the same attack, and
 // writes its BENCH shard.
-func runConnect(cfg connectConfig) error {
+func runConnect(c *config) error {
 	start := time.Now()
-	if cfg.tls && cfg.tlsCAFile == "" {
+	if c.tls && c.tlsCA == "" {
 		return fmt.Errorf("-connect with -tls needs -tls-ca (the server's CA bundle)")
 	}
 	// One source of truth: the CA bundle decides TLS for the main
 	// transport, the shard label, and the attack-env gateways alike.
-	cfg.tls = cfg.tlsCAFile != ""
+	tlsOn := c.tlsCA != ""
 	var ct *httpd.ClientTransport
-	if cfg.tls {
-		pool, err := httpd.LoadCAPool(cfg.tlsCAFile)
+	if tlsOn {
+		roots, err := httpd.LoadCAPool(c.tlsCA)
 		if err != nil {
 			return err
 		}
-		ct = httpd.NewClientTransportTLS(cfg.addr, pool)
+		ct = httpd.NewClientTransportTLS(c.connect, roots)
 	} else {
-		ct = httpd.NewClientTransport(cfg.addr)
+		ct = httpd.NewClientTransport(c.connect)
 	}
 	defer ct.Close()
 
 	// Worker-side observability: decisions ring into the worker's own
-	// trace buffer (the monitors run here, not in the server), and the
-	// runtime sampler feeds the shard's obs section for the supervisor
-	// to merge fleet-wide.
-	reg := obs.NewRegistry()
-	ringSize := 0
-	if cfg.openloop.rate > 0 {
-		ringSize = 65536
-	}
-	ring := obs.NewDecisionRing(ringSize)
-	smp := obs.NewSampler(reg, 200*time.Millisecond)
-	smp.Start()
-
-	// Worker-local latency attribution: the stage histograms and slow
-	// ring feed the shard's slo fragment (the supervisor merges the
-	// fleet's).
-	stages := obs.NewStageSet(reg)
-	slowRing := obs.NewSlowRing(0)
-
+	// trace buffer (the monitors run here, not in the server), the
+	// runtime sampler feeds the shard's obs section, and the stage
+	// histograms and slow ring feed the shard's slo fragment — the
+	// supervisor merges the fleet's.
+	plane := newObsPlane(c.olSpec.rate > 0)
 	pool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
+		Sessions:  c.sessions,
 		Transport: ct,
-		Options:   browser.Options{Mode: cfg.mode, DecisionRing: ring},
-		Uncached:  cfg.uncached,
-		Stages:    stages,
-		Slow:      slowRing,
+		Options:   browser.Options{Mode: c.mode, DecisionRing: plane.ring},
+		Uncached:  c.uncached,
+		Stages:    plane.stages,
+		Slow:      plane.slow,
 	})
 	if err != nil {
 		return err
@@ -381,99 +262,64 @@ func runConnect(cfg connectConfig) error {
 	defer pool.Close()
 
 	shard := cluster.Shard{
-		Worker:   cfg.workerID,
+		Worker:   c.workerID,
 		PID:      os.Getpid(),
-		Sessions: cfg.sessions,
-		Mode:     cfg.mode.String(),
-		TLS:      cfg.tls,
+		Sessions: c.sessions,
+		Mode:     c.mode.String(),
+		TLS:      tlsOn,
 		Version:  obs.Version(),
 	}
-	bench := origin.MustParse("http://bench.example")
-	paths := scenarios.Paths()
-
-	// Unmeasured warm round: session cookies exist before measurement.
-	pool.Each(func(s *engine.Session) error {
-		_, err := s.Browser.Navigate(bench.URL(paths[0]))
-		return err
-	})
-	if st := pool.Stats(); len(st.Errors) > 0 {
-		return fmt.Errorf("worker %d warmup: %w", cfg.workerID, st.Errors[0])
-	}
-	smp.Mark()
-
-	ph, errs := runShardPhase(pool, ct, "figure4", func() {
-		for r := 0; r < cfg.iters; r++ {
-			for _, path := range paths {
-				p := path
-				pool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(bench.URL(p))
-					return err
-				})
-			}
+	// phase measures one worker phase into the shard: the shared row,
+	// the mergeable latency histogram, and the wire requests — ct's
+	// plus the extra that fn reports sending over other transports.
+	phase := func(name string, fn func() (extra uint64)) error {
+		before := ct.Stats()
+		var extra uint64
+		m, st := measure(pool, name, func() { extra = fn() })
+		ph := cluster.ShardPhase{
+			Name:      m.Name,
+			Tasks:     m.Tasks,
+			Errors:    m.Errors,
+			P50Ms:     m.P50Ms,
+			P99Ms:     m.P99Ms,
+			MeanMs:    m.MeanMs,
+			ElapsedMs: m.ElapsedMs,
+			Requests:  ct.Stats().Sub(before).Requests + extra,
+			Hist:      st.Hist,
 		}
-		pool.Wait()
-	})
-	for _, err := range errs {
-		fmt.Fprintf(os.Stderr, "escudo-serve: worker %d figure4: %v\n", cfg.workerID, err)
-	}
-	shard.Phases = append(shard.Phases, ph)
-	if ph.Errors > 0 {
-		return fmt.Errorf("worker %d: figure4 had %d task errors", cfg.workerID, ph.Errors)
-	}
-
-	// phpBB over the wire: each session logs into its own account from
-	// this worker's private range, then alternates index and topic
-	// views with the occasional reply — the paper's "active session
-	// with a trusted site" workload, here crossing the process (and
-	// TLS) boundary. Login is inside the phase on purpose: stateful
-	// authenticated traffic is part of what the cluster measures.
-	if cfg.phpbbIters > 0 {
-		forum := origin.MustParse("http://forum.example")
-		ph, errs := runShardPhase(pool, ct, "phpbb", func() {
-			pool.Each(func(s *engine.Session) error {
-				p, err := s.Browser.Navigate(forum.URL("/"))
-				if err != nil {
-					return err
-				}
-				form := p.Doc.ByID("loginform")
-				if form == nil {
-					return fmt.Errorf("no loginform")
-				}
-				account := clusterAccount(cfg.workerID, cfg.sessions, s.ID)
-				if _, err := p.SubmitForm(form, map[string][]string{
-					"username": {account}, "password": {"pw"},
-				}); err != nil {
-					return err
-				}
-				for i := 0; i < cfg.phpbbIters; i++ {
-					if _, err := s.Browser.Navigate(forum.URL("/")); err != nil {
-						return err
-					}
-					tp, err := s.Browser.Navigate(forum.URL(fmt.Sprintf("/viewtopic?t=%d", clusterTopicID)))
-					if err != nil {
-						return err
-					}
-					if i%5 == 4 {
-						reply := tp.Doc.ByID("replyform")
-						if reply == nil {
-							return fmt.Errorf("no replyform")
-						}
-						if _, err := tp.SubmitForm(reply, map[string][]string{
-							"message": {fmt.Sprintf("reply from %s round %d", account, i)},
-						}); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-		})
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "escudo-serve: worker %d phpbb: %v\n", cfg.workerID, err)
+		if secs := m.ElapsedMs / 1000; secs > 0 {
+			ph.ReqsPerSec = float64(ph.Requests) / secs
 		}
 		shard.Phases = append(shard.Phases, ph)
 		if ph.Errors > 0 {
-			return fmt.Errorf("worker %d: phpbb had %d task errors", cfg.workerID, ph.Errors)
+			return fmt.Errorf("worker %d: %s had %d task errors", c.workerID, name, ph.Errors)
+		}
+		return nil
+	}
+
+	if err := warmUp(pool, nil); err != nil {
+		return fmt.Errorf("worker %d warmup: %w", c.workerID, err)
+	}
+	plane.smp.Mark()
+
+	if err := phase("figure4", func() uint64 {
+		figure4Rounds(pool, benchOrigin, c.iters)
+		return 0
+	}); err != nil {
+		return err
+	}
+
+	// phpBB over the wire, each session logged into its own account
+	// from this worker's private range — here crossing the process (and
+	// TLS) boundary. Login is inside the phase on purpose: stateful
+	// authenticated traffic is part of what the cluster measures.
+	accounts := account(c.workerID, c.sessions)
+	if c.phpbbIters > 0 {
+		if err := phase("phpbb", func() uint64 {
+			pool.Each(phpbbTask(clusterTopicID, c.phpbbIters, accounts))
+			return 0
+		}); err != nil {
+			return err
 		}
 	}
 
@@ -481,147 +327,65 @@ func runConnect(cfg connectConfig) error {
 	// runs behind its own local gateway — still real sockets (and TLS
 	// when -tls), inside this worker process. The verdict of every
 	// socket run must equal the in-memory run's: the transport-
-	// independence invariant, asserted per worker.
+	// independence invariant, asserted per worker. Main-gateway
+	// transport and attack wire are reported apart: the gateway path is
+	// the long-lived pool whose reuse rate the cluster CI gate asserts,
+	// while the attack environments are per-attack throwaway gateways
+	// whose connections are new by construction.
 	var attackWire httpd.ClientStats
-	if cfg.attacksOn {
-		envCfg := httpd.Config{
-			DefaultWorkers:    cfg.httpWorkers,
-			DefaultQueueDepth: cfg.httpQueue,
+	if c.attacks {
+		envCfg, err := gatewayConfig(nil, c.httpWorkers, c.httpQueue, tlsOn)
+		if err != nil {
+			return err
 		}
-		if cfg.tls {
-			envCA, err := httpd.NewCA()
-			if err != nil {
-				return err
-			}
-			envCfg.TLS = envCA
+		wrap, envStats := attackGateways(envCfg)
+		var tally *attacksJSON
+		var diverged []string
+		if err := phase("attacks", func() uint64 {
+			_, tally, diverged = replayAttacks(pool, c.mode, wrap, nil)
+			_, attackWire = envStats()
+			return attackWire.Requests
+		}); err != nil {
+			return err
 		}
-		// The attack environments use their own transports; fold their
-		// wire traffic into the phase and shard accounting so the
-		// numbers cover everything this worker put on sockets.
-		var envWire struct {
-			mu sync.Mutex
-			st httpd.ClientStats
+		shard.Attacks = &cluster.ShardAttacks{
+			Total:       tally.Total,
+			Neutralized: tally.Neutralized,
+			Succeeded:   tally.Succeeded,
+			MatchMemory: len(diverged) == 0,
 		}
-		wrapper := func(n *web.Network) (web.Transport, func(), error) {
-			_, c, cleanup, err := httpd.WrapNetwork(n, envCfg, "127.0.0.1:0")
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, func() {
-				envWire.mu.Lock()
-				envWire.st = envWire.st.Add(c.Stats())
-				envWire.mu.Unlock()
-				cleanup()
-			}, nil
+		if len(diverged) > 0 {
+			return fmt.Errorf("worker %d: attack verdicts diverge between in-memory and socket transports", c.workerID)
 		}
-		corpus := attack.Corpus()
-		memResults := make([]attack.Result, len(corpus))
-		sockResults := make([]attack.Result, len(corpus))
-		ph, errs := runShardPhase(pool, ct, "attacks", func() {
-			for i, atk := range corpus {
-				i, atk := i, atk
-				pool.Submit(func(*engine.Session) error {
-					memResults[i] = attack.RunOneCached(atk, cfg.mode, pool.Cache())
-					if memResults[i].Err != nil {
-						return memResults[i].Err
-					}
-					sockResults[i] = attack.RunOneOver(atk, cfg.mode, pool.Cache(), wrapper)
-					return sockResults[i].Err
-				})
-			}
-			pool.Wait()
-		})
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "escudo-serve: worker %d attacks: %v\n", cfg.workerID, err)
-		}
-		envWire.mu.Lock()
-		envSt := envWire.st
-		envWire.mu.Unlock()
-		ph.Requests += envSt.Requests
-		if secs := ph.ElapsedMs / 1000; secs > 0 {
-			ph.ReqsPerSec = float64(ph.Requests) / secs
-		}
-		attackWire = envSt
-		shard.Phases = append(shard.Phases, ph)
-		if ph.Errors > 0 {
-			return fmt.Errorf("worker %d: attacks had %d task errors", cfg.workerID, ph.Errors)
-		}
-		tally := &cluster.ShardAttacks{Total: len(corpus), MatchMemory: true}
-		for i, r := range sockResults {
-			if r.Neutralized() {
-				tally.Neutralized++
-			} else {
-				tally.Succeeded++
-			}
-			if memResults[i].Succeeded != r.Succeeded {
-				tally.MatchMemory = false
-				fmt.Fprintf(os.Stderr,
-					"escudo-serve: worker %d VERDICT DIVERGENCE %s: in-memory succeeded=%v, sockets succeeded=%v\n",
-					cfg.workerID, corpus[i].Name, memResults[i].Succeeded, r.Succeeded)
-			}
-		}
-		shard.Attacks = tally
-		if !tally.MatchMemory {
-			return fmt.Errorf("worker %d: attack verdicts diverge between in-memory and socket transports", cfg.workerID)
-		}
+		ac := cluster.FromClientStats(attackWire)
+		shard.AttackClient = &ac
 	}
 
 	// Open-loop SLO phase: this worker offers its share of the fleet's
 	// Poisson load against the remote gateway and ships the mergeable
 	// fragment in its shard. Sessions churn through this worker's
 	// private account range.
-	if cfg.openloop.rate > 0 {
-		forum := origin.MustParse("http://forum.example")
-		res, err := driveOpenLoop(pool, cfg.openloop, bench, forum, stages, slowRing,
-			func(id int) string { return clusterAccount(cfg.workerID, cfg.sessions, id) }, nil)
+	if c.olSpec.rate > 0 {
+		res, err := driveOpenLoop(pool, c.olSpec, plane.stages, plane.slow, accounts, nil)
 		if err != nil {
-			return fmt.Errorf("worker %d openloop: %w", cfg.workerID, err)
+			return fmt.Errorf("worker %d openloop: %w", c.workerID, err)
 		}
 		shard.SLO = res
 		if res.Errors > 0 {
-			return fmt.Errorf("worker %d: openloop had %d task errors", cfg.workerID, res.Errors)
+			return fmt.Errorf("worker %d: openloop had %d task errors", c.workerID, res.Errors)
 		}
 	}
 
-	// Main-gateway transport and attack wire are reported apart: the
-	// gateway path is the long-lived pool whose reuse rate the cluster
-	// CI gate asserts, while the attack environments are per-attack
-	// throwaway gateways whose connections are new by construction.
 	shard.Client = cluster.FromClientStats(ct.Stats())
-	if cfg.attacksOn {
-		ac := cluster.FromClientStats(attackWire)
-		shard.AttackClient = &ac
-	}
-	sampStats := smp.Stop()
+	sampStats := plane.smp.Stop()
 	shard.Obs = &sampStats
 	shard.ElapsedMs = ms(time.Since(start))
-	if err := shard.WriteFile(cfg.out); err != nil {
+	if err := shard.WriteFile(c.out); err != nil {
 		return err
 	}
-	wireReqs := shard.Client.Requests + attackWire.Requests
 	fmt.Printf("escudo-serve: worker %d done — %d phases, %d wire requests, shard %s\n",
-		cfg.workerID, len(shard.Phases), wireReqs, cfg.out)
+		c.workerID, len(shard.Phases), shard.Client.Requests+attackWire.Requests, c.out)
 	return nil
-}
-
-// clusterConfig parameterizes the supervisor mode.
-type clusterConfig struct {
-	workers     int
-	bin         string
-	sessions    int
-	iters       int
-	phpbbIters  int
-	mode        string
-	attacksOn   bool
-	uncached    bool
-	tls         bool
-	httpWorkers int
-	httpQueue   int
-	// openloop is the -openloop spec passed through to every worker
-	// ("" disables); each worker offers the spec's rate, so the fleet's
-	// target is workers × rate and the merged section reflects that.
-	openloop string
-	out      string
 }
 
 // runCluster fork/execs one -serve-only server and N -connect workers
@@ -629,8 +393,8 @@ type clusterConfig struct {
 // the `cluster` section of the BENCH report at -out (other sections
 // of an existing report are preserved, so a cluster run composes with
 // `make serve-http` output).
-func runCluster(cfg clusterConfig) error {
-	bin := cfg.bin
+func runCluster(c *config) error {
+	bin := c.clusterBin
 	if bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -650,25 +414,25 @@ func runCluster(cfg clusterConfig) error {
 	serverArgs := []string{
 		"-serve-only",
 		"-http", "127.0.0.1:0",
-		"-sessions", strconv.Itoa(cfg.sessions),
-		"-accounts", strconv.Itoa(cfg.workers * cfg.sessions),
-		"-http-workers", strconv.Itoa(cfg.httpWorkers),
-		"-http-queue", strconv.Itoa(cfg.httpQueue),
+		"-sessions", strconv.Itoa(c.sessions),
+		"-accounts", strconv.Itoa(c.cluster * c.sessions),
+		"-http-workers", strconv.Itoa(c.httpWorkers),
+		"-http-queue", strconv.Itoa(c.httpQueue),
 		"-addr-file", addrFile,
 		"-stats-file", statsFile,
 	}
-	if cfg.tls {
+	if c.tls {
 		caFile = filepath.Join(dir, "ca.pem")
 		serverArgs = append(serverArgs, "-tls", "-tls-ca-out", caFile)
 	}
-	shardFiles := make([]string, cfg.workers)
+	shardFiles := make([]string, c.cluster)
 	for i := range shardFiles {
 		shardFiles[i] = filepath.Join(dir, fmt.Sprintf("shard_%d.json", i))
 	}
 
 	sup, err := cluster.NewSupervisor(cluster.Config{
 		Server:          cluster.Spec{Name: "server", Path: bin, Args: serverArgs},
-		NumWorkers:      cfg.workers,
+		NumWorkers:      c.cluster,
 		AddrFile:        addrFile,
 		CAFile:          caFile,
 		ShardFiles:      shardFiles,
@@ -682,21 +446,21 @@ func runCluster(cfg clusterConfig) error {
 			args := []string{
 				"-connect", addr,
 				"-worker-id", strconv.Itoa(i),
-				"-sessions", strconv.Itoa(cfg.sessions),
-				"-iters", strconv.Itoa(cfg.iters),
-				"-phpbb-iters", strconv.Itoa(cfg.phpbbIters),
-				"-mode", cfg.mode,
-				fmt.Sprintf("-attacks=%v", cfg.attacksOn),
-				fmt.Sprintf("-uncached=%v", cfg.uncached),
-				"-http-workers", strconv.Itoa(cfg.httpWorkers),
-				"-http-queue", strconv.Itoa(cfg.httpQueue),
+				"-sessions", strconv.Itoa(c.sessions),
+				"-iters", strconv.Itoa(c.iters),
+				"-phpbb-iters", strconv.Itoa(c.phpbbIters),
+				"-mode", c.modeName,
+				fmt.Sprintf("-attacks=%v", c.attacks),
+				fmt.Sprintf("-uncached=%v", c.uncached),
+				"-http-workers", strconv.Itoa(c.httpWorkers),
+				"-http-queue", strconv.Itoa(c.httpQueue),
 				"-out", shardFiles[i],
 			}
-			if cfg.tls {
+			if c.tls {
 				args = append(args, "-tls", "-tls-ca", caFile)
 			}
-			if cfg.openloop != "" {
-				args = append(args, "-openloop", cfg.openloop)
+			if c.openloop != "" {
+				args = append(args, "-openloop", c.openloop)
 			}
 			return cluster.Spec{Name: fmt.Sprintf("worker-%d", i), Path: bin, Args: args}
 		},
@@ -713,21 +477,17 @@ func runCluster(cfg clusterConfig) error {
 	// section and leaves any other sections (in-memory phases, http,
 	// policy) from an earlier run intact.
 	var report benchJSON
-	if data, err := os.ReadFile(cfg.out); err == nil {
+	if data, err := os.ReadFile(c.out); err == nil {
 		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("existing %s is not a BENCH report (move it aside): %w", cfg.out, err)
+			return fmt.Errorf("existing %s is not a BENCH report (move it aside): %w", c.out, err)
 		}
 	} else {
-		report.Sessions = cfg.workers * cfg.sessions
-		report.Mode = cfg.mode
+		report.Sessions = c.cluster * c.sessions
+		report.Mode = c.modeName
 		report.GoMaxProcs = 0
 	}
 	report.Cluster = rep
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(c.out, report); err != nil {
 		return err
 	}
 
@@ -770,14 +530,14 @@ func runCluster(cfg clusterConfig) error {
 			ac.Requests, ac.NewConns)
 	}
 	if o := rep.Obs; o != nil {
-		fmt.Printf("Fleet obs (%s): %d samples, goroutines post-warmup/last %d/%d (summed), heap monotonic=%v, %d GC cycles\n",
-			rep.Version.Go, o.Samples, o.PostWarmupGoroutines, o.Goroutines.Last, o.HeapMonotonic, o.NumGC)
+		fmt.Printf("Fleet obs (%s): %d samples, goroutines post-warmup/last %d/%d (summed), %d GC cycles\n",
+			rep.Version.Go, o.Samples, o.PostWarmupGoroutines, o.Goroutines.Last, o.NumGC)
 	}
 	if s := rep.SLO; s != nil {
 		if err := printSLO(s); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("\nWrote cluster section to %s (%.0f ms total)\n", cfg.out, rep.ElapsedMs)
+	fmt.Printf("\nWrote cluster section to %s (%.0f ms total)\n", c.out, rep.ElapsedMs)
 	return nil
 }

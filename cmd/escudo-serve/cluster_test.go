@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenarios"
 )
 
 // waitForFile polls until path exists with non-empty content.
@@ -39,29 +41,29 @@ func TestServeOnlyConnectTLS(t *testing.T) {
 	stop := make(chan struct{})
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- runServeOnly(serveOnlyConfig{
-			addr:      "127.0.0.1:0",
-			sessions:  2,
-			workers:   2,
-			queue:     16,
-			tls:       true,
-			tlsCAOut:  caFile,
-			addrFile:  addrFile,
-			statsFile: statsFile,
+		serveDone <- runServeOnly(&config{
+			httpAddr:    "127.0.0.1:0",
+			sessions:    2,
+			httpWorkers: 2,
+			httpQueue:   16,
+			tls:         true,
+			tlsCAOut:    caFile,
+			addrFile:    addrFile,
+			statsFile:   statsFile,
 		}, stop)
 	}()
 
 	addr := waitForFile(t, addrFile, 10*time.Second)
 	waitForFile(t, caFile, 10*time.Second)
 
-	err := runConnect(connectConfig{
-		addr:        addr,
+	err := runConnect(&config{
+		connect:     addr,
 		sessions:    2,
 		iters:       2,
 		mode:        0, // browser.ModeEscudo
-		attacksOn:   false,
+		attacks:     false,
 		tls:         true,
-		tlsCAFile:   caFile,
+		tlsCA:       caFile,
 		workerID:    3,
 		httpWorkers: 2,
 		httpQueue:   16,
@@ -138,7 +140,7 @@ func TestServeOnlyConnectTLS(t *testing.T) {
 // without a CA bundle must refuse to start rather than dial
 // unverified.
 func TestConnectTLSRequiresCA(t *testing.T) {
-	err := runConnect(connectConfig{addr: "127.0.0.1:1", tls: true, sessions: 1, iters: 1,
+	err := runConnect(&config{connect: "127.0.0.1:1", tls: true, sessions: 1, iters: 1,
 		out: filepath.Join(t.TempDir(), "shard.json")})
 	if err == nil || !strings.Contains(err.Error(), "-tls-ca") {
 		t.Fatalf("runConnect = %v, want -tls-ca requirement", err)
@@ -199,6 +201,13 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if !byName["figure4"] || !byName["attacks"] {
 		t.Fatalf("cluster phases missing figure4/attacks: %+v", c.Phases)
+	}
+	// Workload parity: every worker runs the same Figure-4 rounds as
+	// the single-process driver, one task per page per round.
+	for _, ph := range c.Phases {
+		if want := uint64(2 * 1 * len(scenarios.Paths())); ph.Name == "figure4" && ph.Tasks != want {
+			t.Errorf("merged figure4 tasks = %d, want workers×iters×pages = %d", ph.Tasks, want)
+		}
 	}
 	if c.AttacksTotal != 18 || c.AttacksNeutralized != 18 || !c.AttacksMatchMemory {
 		t.Fatalf("attack tally: total %d neutralized %d match %v",

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/browser"
 	"repro/internal/core"
 	"repro/internal/ctlplane"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/httpd"
 	"repro/internal/metrics"
 	"repro/internal/origin"
+	"repro/internal/policy"
 	"repro/internal/scenarios"
 	"repro/internal/web"
 )
@@ -95,40 +95,10 @@ type controlJSON struct {
 	Phases          []httpPhaseJSON `json:"phases"`
 }
 
-// controlSectionConfig parameterizes the control-plane section.
-type controlSectionConfig struct {
-	tenants        int
-	sessions       int
-	iters          int
-	workers, queue int
-	mode           browser.Mode
-	uncached       bool
-	attacksOn      bool
-}
-
 // stormWindow is the throughput sampling cadence during the storm —
 // coarse enough that single-CPU scheduler jitter does not produce
 // empty windows, fine enough to resolve a sub-second dip.
 const stormWindow = 50 * time.Millisecond
-
-// replayCorpus runs the §6.4 corpus serially against the shared
-// decision cache and tallies verdicts.
-func replayCorpus(mode browser.Mode, cache *core.DecisionCache) (*attacksJSON, error) {
-	corpus := attack.Corpus()
-	aj := &attacksJSON{Total: len(corpus)}
-	for _, atk := range corpus {
-		r := attack.RunOneCached(atk, mode, cache)
-		if r.Err != nil {
-			return nil, fmt.Errorf("attack %s: %w", atk.Name, r.Err)
-		}
-		if r.Neutralized() {
-			aj.Neutralized++
-		} else {
-			aj.Succeeded++
-		}
-	}
-	return aj, nil
-}
 
 // probeP99 issues n sequential GETs for pathQ against the origin
 // through ct and returns the p99 latency. Any non-200 answer is an
@@ -149,16 +119,12 @@ func probeP99(ct *httpd.ClientTransport, o origin.Origin, pathQ string, n int) (
 	return s.Percentile(99), nil
 }
 
-// runControlSection mounts the hot origin plus cfg.tenants stamped
+// runControlSection mounts the hot origin plus -tenants stamped
 // tenants on a fresh gateway, subscribes a ctlplane.Watcher for the
 // loadgen pool (generation pinned per page load, cache invalidated on
 // flip), and measures the invalidation storm and the noisy-neighbor
 // isolation.
-func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
-	if cfg.tenants < 2 {
-		return nil, fmt.Errorf("-tenants must be >= 2 for the noisy-neighbor harness, got %d", cfg.tenants)
-	}
-
+func runControlSection(c *config) (*controlJSON, error) {
 	// Substrate: one hot origin carrying the figure-4 load, plus the
 	// tenant fleet sharing one stamped handler. Every origin mounts
 	// with its own derived policy document, so /policyz lists the
@@ -166,22 +132,21 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	n := web.NewNetwork()
 	hot := origin.MustParse("http://app.control.example")
 	n.Register(hot, scenarios.Handler())
-	tenants := scenarios.RegisterTenants(n, cfg.tenants)
-
-	originCfgs := make(map[string]httpd.OriginConfig, cfg.tenants+1)
-	hotDoc := scenarios.Policy(hot)
-	originCfgs[hot.String()] = httpd.OriginConfig{Policy: &hotDoc, Workers: cfg.workers, QueueDepth: cfg.queue}
+	tenants := scenarios.RegisterTenants(n, c.tenants)
+	policies := map[string]policy.Policy{hot.String(): scenarios.Policy(hot)}
 	for _, o := range tenants {
-		doc := scenarios.Policy(o)
-		originCfgs[o.String()] = httpd.OriginConfig{Policy: &doc}
+		policies[o.String()] = scenarios.Policy(o)
 	}
 	// Tenants idle at one worker each: the point of the fleet is mount
 	// scale and per-origin isolation, not aggregate tenant throughput.
-	gw, ct, cleanup, err := httpd.WrapNetwork(n, httpd.Config{
-		DefaultWorkers:    1,
-		DefaultQueueDepth: 8,
-		Origins:           originCfgs,
-	}, "127.0.0.1:0")
+	gwCfg, err := gatewayConfig(policies, 1, 8, false)
+	if err != nil {
+		return nil, err
+	}
+	hotCfg := gwCfg.Origins[hot.String()]
+	hotCfg.Workers, hotCfg.QueueDepth = c.httpWorkers, c.httpQueue
+	gwCfg.Origins[hot.String()] = hotCfg
+	gw, ct, cleanup, err := httpd.WrapNetwork(n, gwCfg, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
@@ -200,8 +165,8 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 		HoldFor:      5 * time.Second,
 		PollInterval: 10 * time.Millisecond,
 		OnFlip: func(gen uint64) {
-			if c := cacheRef.Load(); c != nil {
-				c.Invalidate()
+			if cache := cacheRef.Load(); cache != nil {
+				cache.Invalidate()
 			}
 			if want := flipWaitGen.Load(); want != 0 && gen >= want {
 				flipOnce.Do(func() { close(flipObserved) })
@@ -214,10 +179,10 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	defer w.Stop()
 
 	pool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
+		Sessions:  c.sessions,
 		Transport: ct,
-		Options:   browser.Options{Mode: cfg.mode, PolicyGen: w.Generation},
-		Uncached:  cfg.uncached,
+		Options:   browser.Options{Mode: c.mode, PolicyGen: w.Generation},
+		Uncached:  c.uncached,
 	})
 	if err != nil {
 		return nil, err
@@ -225,14 +190,13 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	defer pool.Close()
 	cacheRef.Store(pool.Cache())
 
-	section := &controlJSON{TenantsMounted: cfg.tenants}
+	section := &controlJSON{TenantsMounted: c.tenants}
 
 	// Warm round: session cookies plus a fully populated decision
 	// cache, so the storm invalidates (and refills) a realistic
 	// working set rather than a cold one.
-	paths := scenarios.Paths()
 	pool.Each(func(s *engine.Session) error {
-		for _, p := range paths {
+		for _, p := range scenarioPaths {
 			if _, err := s.Browser.Navigate(hot.URL(p)); err != nil {
 				return err
 			}
@@ -248,12 +212,13 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	// round populated it — the entries the post-flip load will put
 	// back. Snapshot it before the attack replay, whose environments
 	// park extra entries the storm load never touches again.
-	if c := pool.Cache(); c != nil {
-		storm.CacheEntriesBefore = c.Stats().Entries
+	if cache := pool.Cache(); cache != nil {
+		storm.CacheEntriesBefore = cache.Stats().Entries
 	}
-	if cfg.attacksOn {
-		if storm.AttacksPreFlip, err = replayCorpus(cfg.mode, pool.Cache()); err != nil {
-			return nil, err
+	if c.attacks {
+		_, storm.AttacksPreFlip, _ = replayAttacks(pool, c.mode, nil, nil)
+		if st := pool.Stats(); len(st.Errors) > 0 {
+			return nil, fmt.Errorf("control pre-flip attacks: %w", st.Errors[0])
 		}
 	}
 
@@ -269,7 +234,9 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	var samples []sample
 	var phaseStart, pushStart, ackAt, observedAt, refillAt time.Time
 	var flipErr error
-	stormPhase := runHTTPPhase(pool, gw, "control-storm", func() {
+	gwBefore := gw.Stats()
+	gw.ResetQueueHighWater()
+	stormStats, _ := measure(pool, "control-storm", func() {
 		phaseStart = time.Now()
 		samplerStop := make(chan struct{})
 		var samplerDone sync.WaitGroup
@@ -318,9 +285,9 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 				flipErr = fmt.Errorf("storm: generation %d never observed by the watcher", res.Generation)
 				return
 			}
-			if c := pool.Cache(); c != nil {
+			if cache := pool.Cache(); cache != nil {
 				deadline := time.Now().Add(10 * time.Second)
-				for c.Stats().Entries < storm.CacheEntriesBefore && time.Now().Before(deadline) {
+				for cache.Stats().Entries < storm.CacheEntriesBefore && time.Now().Before(deadline) {
 					time.Sleep(2 * time.Millisecond)
 				}
 				refillAt = time.Now()
@@ -331,16 +298,9 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 		// pool, looping until the flip work is finished.
 		rounds := 0
 		for {
-			for _, path := range paths {
-				p := path
-				pool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(hot.URL(p))
-					return err
-				})
-			}
-			pool.Wait()
+			figure4Rounds(pool, hot, 1)
 			rounds++
-			if rounds >= cfg.iters {
+			if rounds >= c.iters {
 				select {
 				case <-flipDone:
 					close(samplerStop)
@@ -357,6 +317,7 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 			}
 		}
 	})
+	stormPhase := gatewayRow(stormStats, gw.Stats().Sub(gwBefore))
 	if flipErr != nil {
 		return nil, flipErr
 	}
@@ -407,16 +368,19 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 		}
 	}
 
-	if cfg.attacksOn {
-		if storm.AttacksPostFlip, err = replayCorpus(cfg.mode, pool.Cache()); err != nil {
-			return nil, err
-		}
+	if c.attacks {
+		_, storm.AttacksPostFlip, _ = replayAttacks(pool, c.mode, nil, nil)
 	}
 	section.Storm = storm
 	section.Phases = append(section.Phases, stormPhase)
 
 	// The invariant gate: the storm phase's pages, audited per page.
+	// (The attack environments audit into their own browsers, so the
+	// post-flip replay adds no pages here.)
 	st := pool.Stats()
+	if len(st.Errors) > 0 {
+		return nil, fmt.Errorf("control post-flip attacks: %w", st.Errors[0])
+	}
 	section.GenerationsMixed = st.GenMix.Mixed
 	section.PagesAudited = st.GenMix.Pages
 	section.GenerationsSeen = st.GenMix.Generations
@@ -440,7 +404,7 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	defer noisyCT.Close()
 
 	const probeN = 300
-	warmPath := paths[0]
+	warmPath := scenarioPaths[0]
 	// One warm request so the victim's probe measures steady state.
 	if _, err := probeP99(victimCT, victim, warmPath, 8); err != nil {
 		return nil, err
@@ -502,8 +466,8 @@ func runControlSection(cfg controlSectionConfig) (*controlJSON, error) {
 	}
 	section.Generation = doc.Generation
 	section.PolicyzOrigins = len(doc.Policies)
-	if len(doc.Policies) != cfg.tenants+1 {
-		return nil, fmt.Errorf("control: /policyz served %d documents, mounted %d", len(doc.Policies), cfg.tenants+1)
+	if len(doc.Policies) != c.tenants+1 {
+		return nil, fmt.Errorf("control: /policyz served %d documents, mounted %d", len(doc.Policies), c.tenants+1)
 	}
 	if doc.Generation != storm.FlipGeneration {
 		return nil, fmt.Errorf("control: fleet generation %d, want %d (every mount plus the flip)",

@@ -17,25 +17,55 @@
 // cross-checked against the in-memory verdicts: any divergence fails
 // the run, because the protection model is transport-independent.
 //
-// The multi-process modes (see cluster.go) split the deployment
+// The multi-process roles (see cluster.go) split the deployment
 // across real OS processes: -serve-only runs the gateway alone until
 // SIGTERM, -connect runs a loadgen worker against a remote gateway,
 // and -cluster N fork/execs one server plus N workers and merges
 // their BENCH shards into a `cluster` section. -tls terminates https
 // on the gateway with an ephemeral in-memory CA in any gateway mode.
+// Every workload and the phase meter are shared across roles (see
+// workload.go), so a phase does the same work in every mode.
 //
-// Usage:
+// Usage, by process role (-procs N applies to every role):
 //
-//	escudo-serve [-sessions N] [-iters N] [-phpbb-iters N]
-//	             [-mixed-iters N] [-procs N] [-procs-bench N]
-//	             [-mode escudo|sop] [-attacks] [-uncached]
-//	             [-http addr] [-http-workers N] [-http-queue N] [-tls]
-//	             [-pprof] [-cpuprofile f] [-memprofile f]
-//	             [-cluster N | -serve-only | -connect addr]
+// The driver (default): the in-memory phases, then the optional
+// sections — http, soak, open-loop SLO, control plane, script engines.
+//
+//	escudo-serve [-sessions N] [-iters N] [-phpbb-iters N] [-mixed-iters N]
+//	             [-script-iters N] [-procs N] [-procs-bench N]
+//	             [-mode escudo|sop] [-attacks=false] [-uncached]
+//	             [-http addr [-http-workers N] [-http-queue N] [-tls] [-pprof]]
+//	             [-soak D] [-openloop rate=R,duration=D[,churn=C][,p99=MS][,seed=N]]
+//	             [-control [-tenants N]] [-cpuprofile f] [-memprofile f]
 //	             [-out BENCH_engine.json]
+//
+// The cluster supervisor: fork/execs one -serve-only server and N
+// -connect workers of -cluster-bin (default: this binary) and merges
+// their shards into the cluster section of -out.
+//
+//	escudo-serve -cluster N [-cluster-bin path] [-tls] [-sessions N]
+//	             [-iters N] [-phpbb-iters N] [-mode escudo|sop]
+//	             [-attacks=false] [-uncached] [-http-workers N]
+//	             [-http-queue N] [-openloop spec] [-out BENCH_engine.json]
+//
+// The server: mounts the substrate on a gateway and serves until
+// SIGTERM.
+//
+//	escudo-serve -serve-only [-http addr] [-tls [-tls-ca-out ca.pem]]
+//	             [-sessions N] [-accounts N] [-http-workers N]
+//	             [-http-queue N] [-addr-file f] [-stats-file f]
+//
+// The worker: loads a remote gateway and writes a BENCH shard.
+//
+//	escudo-serve -connect addr [-worker-id N] [-tls -tls-ca ca.pem]
+//	             [-sessions N] [-iters N] [-phpbb-iters N]
+//	             [-mode escudo|sop] [-attacks=false] [-uncached]
+//	             [-http-workers N] [-http-queue N] [-openloop spec]
+//	             [-out shard.json]
 package main
 
 import (
+	"context"
 	"crypto/tls"
 	"encoding/json"
 	"flag"
@@ -46,8 +76,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -56,17 +84,13 @@ import (
 	"repro/internal/browser"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ctlplane"
 	"repro/internal/engine"
 	"repro/internal/httpd"
 	"repro/internal/metrics"
-	"repro/internal/nonce"
 	"repro/internal/obs"
-	"repro/internal/origin"
 	"repro/internal/policy"
-	"repro/internal/scenarios"
 	"repro/internal/slo"
-	"repro/internal/template"
-	"repro/internal/web"
 )
 
 func main() {
@@ -74,6 +98,169 @@ func main() {
 		fmt.Fprintln(os.Stderr, "escudo-serve:", err)
 		os.Exit(1)
 	}
+}
+
+// config is the parsed command line. Each process role reads the
+// fields it needs (see the Usage block above).
+type config struct {
+	sessions, iters, phpbbIters, mixedIters, scriptIters int
+	procs, procsBench                                    int
+	pprof                                                bool
+	cpuProfile, memProfile                               string
+	modeName                                             string
+	mode                                                 browser.Mode
+	attacks, uncached                                    bool
+	httpAddr                                             string
+	httpWorkers, httpQueue                               int
+	soak                                                 time.Duration
+	openloop                                             string
+	olSpec                                               openLoopSpec
+	tls, serveOnly                                       bool
+	connect                                              string
+	cluster                                              int
+	clusterBin, tlsCAOut, tlsCA, addrFile, statsFile     string
+	workerID, accounts                                   int
+	control                                              bool
+	tenants                                              int
+	out                                                  string
+}
+
+// parseFlags parses and validates the command line. Every check runs
+// here, before any role starts, so a bad combination fails fast
+// instead of after the sections it does not affect.
+func parseFlags(args []string) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("escudo-serve", flag.ContinueOnError)
+	fs.IntVar(&c.sessions, "sessions", 8, "number of concurrent browser sessions")
+	fs.IntVar(&c.iters, "iters", 5, "rounds through all Figure-4 scenarios per session")
+	fs.IntVar(&c.phpbbIters, "phpbb-iters", 20, "phpBB page views per session")
+	fs.IntVar(&c.mixedIters, "mixed-iters", 10, "mixed-workload rounds per session (0 disables the phase)")
+	fs.IntVar(&c.scriptIters, "script-iters", 60, "script-engine corpus passes per round per engine (0 disables the script section)")
+	fs.IntVar(&c.procs, "procs", 0, "GOMAXPROCS override (0 keeps the runtime default)")
+	fs.IntVar(&c.procsBench, "procs-bench", 0, "re-run the figure4 phase at this GOMAXPROCS after the main phases and record it as procs_variant (0 disables)")
+	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof on the gateway's admin host under /debug/pprof (with -http)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile (after the run, post-GC) to this file")
+	fs.StringVar(&c.modeName, "mode", "escudo", "protection mode: escudo or sop")
+	fs.BoolVar(&c.attacks, "attacks", true, "replay the §6.4 attack corpus")
+	fs.BoolVar(&c.uncached, "uncached", false, "disable the shared decision cache (baseline)")
+	fs.StringVar(&c.httpAddr, "http", "", "also mount the origins on a real HTTP gateway at this address (e.g. 127.0.0.1:0) and replay the workloads over loopback sockets")
+	fs.IntVar(&c.httpWorkers, "http-workers", 4, "gateway per-origin worker count")
+	fs.IntVar(&c.httpQueue, "http-queue", 64, "gateway per-origin queue depth (overflow → 503)")
+	fs.DurationVar(&c.soak, "soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
+	fs.StringVar(&c.openloop, "openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section; in -cluster mode each worker drives this spec and the shards merge")
+	fs.BoolVar(&c.tls, "tls", false, "terminate https on the gateway with an ephemeral in-memory CA (with -http, -serve-only, or -cluster; with -connect, trust -tls-ca)")
+	fs.BoolVar(&c.serveOnly, "serve-only", false, "server mode: mount the substrate on a gateway and serve until SIGTERM (no loadgen)")
+	fs.StringVar(&c.connect, "connect", "", "worker mode: generate load against a remote gateway at this address and write a BENCH shard to -out")
+	fs.IntVar(&c.cluster, "cluster", 0, "cluster mode: fork/exec one -serve-only server plus N -connect workers and merge their shards into a cluster section")
+	fs.StringVar(&c.clusterBin, "cluster-bin", "", "binary to fork/exec in -cluster mode (default: this executable)")
+	fs.StringVar(&c.tlsCAOut, "tls-ca-out", "", "serve-only: write the CA certificate (no key) to this PEM file for workers to trust")
+	fs.StringVar(&c.tlsCA, "tls-ca", "", "connect: CA certificate bundle to verify the gateway's TLS leafs against")
+	fs.StringVar(&c.addrFile, "addr-file", "", "serve-only: write the bound listener address to this file")
+	fs.StringVar(&c.statsFile, "stats-file", "", "serve-only: write gateway-side stats JSON here on graceful shutdown")
+	fs.IntVar(&c.workerID, "worker-id", 0, "connect: this worker's index in the cluster (labels the shard)")
+	fs.IntVar(&c.accounts, "accounts", 0, "serve-only: register this many phpBB/PHP-Calendar accounts (0 = one per session; a cluster supervisor passes workers×sessions so each worker gets a disjoint account range)")
+	fs.BoolVar(&c.control, "control", false, "run the policy control-plane section: mount -tenants stamped origins on a dedicated gateway, push a live policy flip mid-load (invalidation storm), and measure noisy-neighbor isolation")
+	fs.IntVar(&c.tenants, "tenants", 1024, "tenant origins to mount in the -control section")
+	fs.StringVar(&c.out, "out", "BENCH_engine.json", "output JSON path")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case c.sessions < 1:
+		return nil, fmt.Errorf("-sessions must be >= 1, got %d", c.sessions)
+	case c.tls && c.httpAddr == "" && !c.serveOnly && c.connect == "" && c.cluster == 0:
+		return nil, fmt.Errorf("-tls needs a gateway: combine it with -http, -serve-only, -connect, or -cluster")
+	case c.tlsCAOut != "" && !c.tls:
+		return nil, fmt.Errorf("-tls-ca-out given without -tls")
+	case c.control && c.tenants < 2:
+		return nil, fmt.Errorf("-tenants must be >= 2 for the noisy-neighbor harness, got %d", c.tenants)
+	}
+	var err error
+	if c.mode, err = parseMode(c.modeName); err != nil {
+		return nil, err
+	}
+	if c.openloop != "" {
+		if c.olSpec, err = parseOpenLoop(c.openloop); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// parseMode maps the -mode flag onto a browser mode.
+func parseMode(s string) (browser.Mode, error) {
+	switch s {
+	case "escudo":
+		return browser.ModeEscudo, nil
+	case "sop":
+		return browser.ModeSOP, nil
+	default:
+		return 0, fmt.Errorf("unknown -mode %q", s)
+	}
+}
+
+func run(args []string) error {
+	c, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	if c.procs > 0 {
+		runtime.GOMAXPROCS(clampProcs("-procs", c.procs))
+	}
+	// The multi-process roles: a cluster supervisor, a server-only
+	// gateway process, or a loadgen worker. Each is a complete program
+	// of its own; the single-process driver is the default.
+	switch {
+	case c.cluster > 0:
+		return runCluster(c)
+	case c.serveOnly:
+		return runServeOnly(c, stopOnSignal())
+	case c.connect != "":
+		return runConnect(c)
+	}
+	report, err := drive(c)
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(c.out, report); err != nil {
+		return err
+	}
+	return printReport(report, c.out)
+}
+
+// clampProcs clamps a GOMAXPROCS request to the machine's CPU count:
+// above it buys no parallelism, only OS-thread thrash that wrecks tail
+// latency.
+func clampProcs(flagName string, n int) int {
+	if cpus := runtime.NumCPU(); n > cpus {
+		fmt.Fprintf(os.Stderr, "escudo-serve: %s %d clamped to %d (machine CPU count)\n", flagName, n, cpus)
+		return cpus
+	}
+	return n
+}
+
+// stopOnSignal returns a channel closed on the first SIGTERM or
+// interrupt. The server role registers it before anything else runs,
+// so a SIGTERM arriving during startup still takes the graceful path.
+func stopOnSignal() <-chan struct{} {
+	stop := make(chan struct{})
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
+	go func() {
+		<-ch
+		close(stop)
+	}()
+	return stop
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // cacheJSON is the cache section of one phase.
@@ -102,12 +289,17 @@ type batchJSON struct {
 
 // obsJSON is the observability section of BENCH_engine.json: the
 // process's build stamp, the runtime sampler's summary over the whole
-// run (goroutines, heap, GC), and the decision-trace ring's traffic.
-// In cluster runs the workers' equivalents are merged into
-// cluster.obs; this section always describes the driving process.
+// run (goroutines, heap, GC), the soak window's leak verdict, and the
+// decision-trace ring's traffic. In cluster runs the workers'
+// equivalents are merged into cluster.obs; this section always
+// describes the driving process.
 type obsJSON struct {
 	Version obs.Stamp        `json:"version"`
 	Sampler obs.SamplerStats `json:"sampler"`
+	// Leak is the soak phase's leak verdict: the drift of a sampler
+	// that opens after the loop's warm-up (see longLoop). Absent
+	// without -soak, or when the window was too short to judge.
+	Leak *obs.DriftReport `json:"leak,omitempty"`
 	// DecisionEventsRecorded counts every decision-trace event recorded
 	// over the run; DecisionEventsRetained is how many the ring still
 	// holds (min of recorded and ring capacity).
@@ -117,14 +309,7 @@ type obsJSON struct {
 
 // phaseJSON is one benchmark phase in BENCH_engine.json.
 type phaseJSON struct {
-	Name  string `json:"name"`
-	Tasks uint64 `json:"tasks"`
-	// Errors counts harness-level task failures (0 on a clean run).
-	Errors    int     `json:"errors"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	MeanMs    float64 `json:"mean_ms"`
-	ElapsedMs float64 `json:"elapsed_ms"`
+	phaseStats
 	// Decisions counts reference-monitor verdicts during the phase:
 	// audit-log records for pool phases, cache lookups for the attack
 	// replay (whose environments own their audit logs).
@@ -135,19 +320,20 @@ type phaseJSON struct {
 	Attacks         *attacksJSON `json:"attacks,omitempty"`
 }
 
+// setRate derives DecisionsPerSec from Decisions and ElapsedMs.
+func (ph *phaseJSON) setRate() {
+	if secs := ph.ElapsedMs / 1000; secs > 0 {
+		ph.DecisionsPerSec = float64(ph.Decisions) / secs
+	}
+}
+
 // httpPhaseJSON is one loopback loadgen phase of the http section.
 // Tasks/latency are measured at the client sessions; requests, 503s,
 // and cache traffic are the gateway's deltas for the phase, and
 // queue_depth_max is the phase's own high-water mark (the gauge is
 // reset at each phase start).
 type httpPhaseJSON struct {
-	Name          string  `json:"name"`
-	Tasks         uint64  `json:"tasks"`
-	Errors        int     `json:"errors"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	MeanMs        float64 `json:"mean_ms"`
-	ElapsedMs     float64 `json:"elapsed_ms"`
+	phaseStats
 	Requests      uint64  `json:"requests"`
 	ReqsPerSec    float64 `json:"reqs_per_sec"`
 	Rejected503   uint64  `json:"rejected_503"`
@@ -254,8 +440,8 @@ type benchJSON struct {
 }
 
 // procsVariantJSON is the GOMAXPROCS>1 bench variant published
-// alongside the 1-CPU numbers (satellite of the perf PR): the figure4
-// phase re-run with the runtime widened to -procs-bench cores.
+// alongside the 1-CPU numbers: the figure4 phase re-run with the
+// runtime widened to -procs-bench cores.
 type procsVariantJSON struct {
 	// Procs is the requested width; GoMaxProcs the effective one after
 	// clamping to the machine.
@@ -264,389 +450,372 @@ type procsVariantJSON struct {
 	Phases     []phaseJSON `json:"phases"`
 }
 
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+// driver is the single-process run's shared state: the parsed flags,
+// the substrate, the observability plane, and the in-memory pool whose
+// decision cache every section shares.
+type driver struct {
+	*config
+	sub   *substrate
+	plane obsPlane
+	pool  *engine.Pool
+	// memAttacks are the in-memory verdicts the socket replay is
+	// checked against; leak is the soak window's drift verdict.
+	memAttacks []attack.Result
+	leak       *obs.DriftReport
+}
 
-// portalHandler serves the mashup-portal host page: ring-1 chrome, a
-// row of ring-2 AC-tagged widget slots, a cross-origin widget iframe,
-// and a ring-1 script that snapshots the slot region via innerHTML —
-// the batched region-read path — on every load.
-//
-// The page is generated once at construction, same as
-// scenarios.Handler: its content is a fixed benchmark fixture with no
-// user-influenced markup, so reusing one nonce set across responses
-// does not weaken the §5 randomization defense (which matters only
-// when injected content could anticipate the nonces).
-func portalHandler() web.Handler {
-	bld := template.NewACBuilder(nonce.CryptoSource{})
-	var b strings.Builder
-	b.WriteString("<html><head><title>portal</title></head><body>")
-	b.WriteString(bld.Wrap(1, core.UniformACL(1), "id=chrome", "<h1>My Portal</h1>"))
-	var slots strings.Builder
-	for i := 0; i < 8; i++ {
-		slots.WriteString(bld.Wrap(2, core.UniformACL(2), fmt.Sprintf("id=slot%d", i),
-			fmt.Sprintf("<p>widget slot %d: forecasts markets mail feeds</p>", i)))
+// drive runs the driver's sections in order and assembles the report.
+func drive(c *config) (*benchJSON, error) {
+	// Profiling covers the whole single-process run: all in-memory
+	// phases plus the http section, which is where the hot request
+	// path lives. (Profile the multi-process roles by passing the
+	// flags to -connect/-serve-only invocations directly.)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
+		if err != nil {
+			return nil, fmt.Errorf("creating -cpuprofile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return nil, fmt.Errorf("starting CPU profile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
 	}
-	b.WriteString(bld.Wrap(1, core.UniformACL(2), "id=slots", slots.String()))
-	b.WriteString(`<iframe src="http://widget.example/widget"></iframe>`)
-	b.WriteString(bld.Wrap(1, core.UniformACL(1), "id=refresh",
-		`<script id=reader>var snapshot = document.getElementById("slots").innerHTML;</script>`))
-	b.WriteString("</body></html>")
-	page := b.String()
-	return web.HandlerFunc(func(req *web.Request) *web.Response {
-		resp := web.HTML(page)
-		resp.Header.Set(core.HeaderMaxRing, core.DefaultMaxRing.String())
-		// The body is a fixed fixture: the HTTP gateway may serve it
-		// from its cross-request page cache.
-		resp.Header.Set("Cache-Control", "public, immutable")
-		return resp
+	if c.memProfile != "" {
+		defer func() {
+			f, err := os.Create(c.memProfile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "escudo-serve: creating -memprofile: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // report live heap, not transient garbage
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "escudo-serve: writing heap profile: %v\n", err)
+			}
+		}()
+	}
+
+	// The observability plane starts first, so its sampler covers the
+	// whole run. Then the shared substrate: the Figure-4 scenario
+	// server, a phpBB instance with one account per session and a
+	// seeded topic, the mixed-workload apps, and their unified policy
+	// documents.
+	d := &driver{config: c, plane: newObsPlane(c.openloop != "")}
+	d.sub = buildSubstrate(c.sessions)
+	pool, err := engine.NewPool(engine.Config{
+		Sessions: c.sessions,
+		Network:  d.sub.net,
+		Options:  browser.Options{Mode: c.mode, DecisionRing: d.plane.ring},
+		Uncached: c.uncached,
+		Stages:   d.plane.stages,
+		Slow:     d.plane.slow,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Close()
+	d.pool = pool
+
+	report := &benchJSON{
+		Sessions:       c.sessions,
+		Mode:           c.mode.String(),
+		Uncached:       c.uncached,
+		ProcsRequested: c.procs,
+		GoMaxProcs:     runtime.GOMAXPROCS(0),
+	}
+	total := time.Now()
+	if report.Phases, err = d.memoryPhases(); err != nil {
+		return nil, err
+	}
+
+	// GOMAXPROCS>1 variant: re-run the figure4 phase with the runtime
+	// widened to -procs-bench cores, then restore it, so the report
+	// carries the serial and parallel numbers side by side.
+	if c.procsBench > 0 {
+		prev := runtime.GOMAXPROCS(clampProcs("-procs-bench", c.procsBench))
+		report.ProcsVariant = &procsVariantJSON{Procs: c.procsBench, GoMaxProcs: runtime.GOMAXPROCS(0)}
+		report.ProcsVariant.Phases = []phaseJSON{runPhase(pool, "figure4-procs", func() {
+			figure4Rounds(pool, benchOrigin, c.iters)
+		})}
+		runtime.GOMAXPROCS(prev)
+	}
+	if report.Policy, err = d.policySection(); err != nil {
+		return nil, err
+	}
+	if c.httpAddr != "" {
+		if report.HTTP, err = d.httpSection(); err != nil {
+			return nil, err
+		}
+	}
+	if c.openloop != "" {
+		if report.SLO, err = d.openLoopSection(); err != nil {
+			return nil, err
+		}
+	}
+	// Control-plane section — a dedicated multi-tenant gateway, a live
+	// policy flip pushed mid-load, and the noisy-neighbor harness. Runs
+	// on its own gateway and pool so its storm (which invalidates its
+	// decision cache) cannot perturb the equivalence-checked phases.
+	if c.control {
+		if report.Control, err = runControlSection(c); err != nil {
+			return nil, err
+		}
+	}
+	// Script section — interpreter vs compiled VM on the shared corpus,
+	// after every workload phase so the compile-cache counters cover
+	// the run's full <script> traffic.
+	if c.scriptIters > 0 {
+		if report.Script, err = runScriptSection(c.scriptIters); err != nil {
+			return nil, err
+		}
+	}
+
+	// Close the observability window: a final sample, then the obs
+	// section with the run's build stamp, sampler series, and
+	// decision-trace ring traffic.
+	report.Obs = &obsJSON{
+		Version:                obs.Version(),
+		Sampler:                d.plane.smp.Stop(),
+		Leak:                   d.leak,
+		DecisionEventsRecorded: d.plane.ring.Total(),
+		DecisionEventsRetained: d.plane.ring.Len(),
+	}
+	report.TotalMs = ms(time.Since(total))
+	return report, nil
+}
+
+// warmUp loads the first Figure-4 page once per session, unmeasured,
+// so the session cookie exists and every measured load exercises
+// cookie use; then, when set, it runs then in the same task.
+func warmUp(pool *engine.Pool, then engine.Task) error {
+	pool.Each(func(s *engine.Session) error {
+		_, err := s.Browser.Navigate(benchOrigin.URL(scenarioPaths[0]))
+		if err != nil || then == nil {
+			return err
+		}
+		return then(s)
+	})
+	if st := pool.Stats(); len(st.Errors) > 0 {
+		return st.Errors[0]
+	}
+	return nil
+}
+
+// memoryPhases runs the in-memory phases on the main pool: figure4,
+// phpbb, mixed, the soak when no gateway is mounted, and the attack
+// corpus.
+func (d *driver) memoryPhases() ([]phaseJSON, error) {
+	pool := d.pool
+	// Phase 1 — Figure-4 scenarios: every session walks all eight
+	// pages, repeatedly (measure resets the stats warmUp leaves).
+	if err := warmUp(pool, nil); err != nil {
+		return nil, fmt.Errorf("warmup: %w", err)
+	}
+	// Post-warmup mark: the pool's steady-state goroutine count, the
+	// baseline the soak gate compares the end-of-run count against.
+	d.plane.smp.Mark()
+	phases := []phaseJSON{runPhase(pool, "figure4", func() {
+		figure4Rounds(pool, benchOrigin, d.iters)
+	})}
+
+	// Phase 2 — phpBB browsing (see phpbbTask).
+	phases = append(phases, runPhase(pool, "phpbb", func() {
+		pool.Each(phpbbTask(d.sub.topicID, d.phpbbIters, account(0, d.sessions)))
+	}))
+
+	// Phase 3 — mixed workload: the sessions split three ways across
+	// one network, so the sharded network and shared cache face
+	// heterogeneous traffic instead of one app's repetitive stream.
+	if d.mixedIters > 0 {
+		phases = append(phases, runPhase(pool, "mixed", func() {
+			pool.Each(mixedTask(d.sub.topicID, d.mixedIters))
+		}))
+	}
+
+	// In-memory soak: when no gateway is mounted, the soak loop runs
+	// the mixed workload directly (with -http it runs through the
+	// gateway in the http section instead). The loop trims the audit
+	// logs the decision count reads, so it adds the dropped records.
+	if d.soak > 0 && d.httpAddr == "" {
+		var trimmed uint64
+		ph := runPhase(pool, "soak", func() {
+			d.leak, trimmed = soak(pool, d.sub.net, d.sub.topicID, d.soak)
+		})
+		ph.Decisions += trimmed
+		ph.setRate()
+		phases = append(phases, ph)
+	}
+
+	// Phase 4 — §6.4 attack corpus: every attack runs in a fresh
+	// environment, scheduled across the pool's sessions, with the
+	// shared cache plugged into each victim browser.
+	if d.attacks {
+		var tally *attacksJSON
+		ph := runPhase(pool, "attacks", func() {
+			d.memAttacks, tally, _ = replayAttacks(pool, d.mode, nil, nil)
+		})
+		ph.Attacks = tally
+		phases = append(phases, ph)
+	}
+	return phases, nil
+}
+
+// policySection round-trip-checks the unified documents and, in
+// ESCUDO mode, runs the delegated-session phase: a second pool whose
+// sessions mount the §7 delegation monitor through
+// browser.Options.MonitorFactory (sharing the main pool's decision
+// cache), so the delegated widget renders into its portal slot across
+// real concurrent sessions while its overreach is denied. Delegation
+// is meaningless under the flat SOP baseline.
+func (d *driver) policySection() (*policyJSON, error) {
+	sec := &policyJSON{RoundTripOK: true}
+	for o, doc := range d.sub.policies {
+		sec.Origins = append(sec.Origins, o)
+		sec.Delegations += len(doc.Delegations)
+		data, err := doc.Marshal()
+		if err != nil {
+			return nil, err
+		}
+		back, err := policy.Parse(data)
+		if err != nil || !back.Equal(doc) {
+			sec.RoundTripOK = false
+		}
+	}
+	sort.Strings(sec.Origins)
+	if d.mode != browser.ModeEscudo {
+		return sec, nil
+	}
+	delPol, err := d.sub.portalPolicy.DelegationPolicy()
+	if err != nil {
+		return nil, err
+	}
+	sharedCache := d.pool.Cache()
+	delPool, err := engine.NewPool(engine.Config{
+		Sessions: d.sessions,
+		Network:  d.sub.net,
+		Cache:    sharedCache,
+		Uncached: d.uncached,
+		Options: browser.Options{
+			Mode:         d.mode,
+			DecisionRing: d.plane.ring,
+			MonitorFactory: func(browser.PageRef) core.Monitor {
+				return core.Compose(&core.ERM{}, core.WithCache(sharedCache), core.WithDelegations(delPol))
+			},
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer delPool.Close()
+	delIters := max(d.mixedIters, 1)
+	sec.Phases = append(sec.Phases, runPhase(delPool, "delegated-session", func() {
+		delPool.Each(func(s *engine.Session) error {
+			widgetP := core.Principal(widgetOrigin, 0, "widget")
+			for i := 0; i < delIters; i++ {
+				p, err := s.Browser.Navigate(portalOrigin.URL("/"))
+				if err != nil {
+					return err
+				}
+				if err := p.RunScriptAs(widgetP, fmt.Sprintf(
+					`document.getElementById("slot%d").innerHTML = "forecast s%d r%d";`,
+					i%8, s.ID, i)); err != nil {
+					return fmt.Errorf("delegated slot write denied: %w", err)
+				}
+				if err := p.RunScriptAs(widgetP,
+					`document.getElementById("chrome").innerHTML = "pwned";`); err == nil {
+					return fmt.Errorf("delegation failed to confine the widget to its floor")
+				}
+			}
+			return nil
+		})
+	}))
+	return sec, nil
+}
+
+// socketPool builds a pool of fresh sessions that reach a gateway
+// through ct and share the main pool's decision cache and the run's
+// observability plane.
+func (d *driver) socketPool(ct *httpd.ClientTransport) (*engine.Pool, error) {
+	return engine.NewPool(engine.Config{
+		Sessions:  d.sessions,
+		Transport: ct,
+		Options:   browser.Options{Mode: d.mode, DecisionRing: d.plane.ring},
+		Cache:     d.pool.Cache(),
+		Uncached:  d.uncached,
+		Stages:    d.plane.stages,
+		Slow:      d.plane.slow,
 	})
 }
 
-// mixedTask builds the mixed-workload session task: the sessions split
-// three ways across one substrate — phpBB browsing (sessions must
-// already be logged in), PHP-Calendar event tracking (logs in itself),
-// and a mashup portal with cross-origin widgets. The same task runs
-// over the in-memory network and over the HTTP gateway, which is what
-// makes the two phases comparable.
-func mixedTask(forumO, calO, portalO origin.Origin, topicID, iters int) engine.Task {
-	return func(s *engine.Session) error {
-		switch s.ID % 3 {
-		case 0: // phpBB browsing.
-			for i := 0; i < iters; i++ {
-				if _, err := s.Browser.Navigate(forumO.URL("/")); err != nil {
-					return err
-				}
-				if _, err := s.Browser.Navigate(forumO.URL(fmt.Sprintf("/viewtopic?t=%d", topicID))); err != nil {
-					return err
-				}
-			}
-		case 1: // PHP-Calendar: log in, add events, re-render the month.
-			p, err := s.Browser.Navigate(calO.URL("/"))
-			if err != nil {
-				return err
-			}
-			if form := p.Doc.ByID("loginform"); form != nil {
-				if _, err := p.SubmitForm(form, map[string][]string{
-					"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
-				}); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < iters; i++ {
-				mp, err := s.Browser.Navigate(calO.URL("/"))
-				if err != nil {
-					return err
-				}
-				if i%4 == 3 {
-					form := mp.Doc.ByID("newevent")
-					if form == nil {
-						return fmt.Errorf("no newevent form")
-					}
-					if _, err := mp.SubmitForm(form, map[string][]string{
-						"day": {fmt.Sprintf("%d", i%28+1)}, "text": {fmt.Sprintf("event s%d r%d", s.ID, i)},
-					}); err != nil {
-						return err
-					}
-				}
-			}
-		default: // mashup portal: host page + cross-origin widget frames.
-			for i := 0; i < iters; i++ {
-				p, err := s.Browser.Navigate(portalO.URL("/"))
-				if err != nil {
-					return err
-				}
-				if len(p.ScriptErrors) > 0 {
-					return fmt.Errorf("portal script: %v", p.ScriptErrors[0])
-				}
-			}
+// httpSection is the client/server split: the substrate mounted on a
+// loopback gateway, the figure-4 and mixed workloads replayed by fresh
+// sessions over real sockets through the shared decision cache, and
+// the attack corpus replayed against per-environment gateways with
+// every verdict checked against the in-memory run.
+func (d *driver) httpSection() (*httpJSON, error) {
+	gwCfg, err := gatewayConfig(d.sub.policies, d.httpWorkers, d.httpQueue, d.tls)
+	if err != nil {
+		return nil, err
+	}
+	// The gateway exports the run's registry on /varz, its ring on
+	// /tracez, and its stage histograms and slow ring on /slowz. The
+	// loadgen transport is created by WrapNetwork below, but the
+	// gateway config needs the stats hook now — late-bind through an
+	// atomic pointer so /metricsz can surface connection reuse.
+	var clientRef atomic.Pointer[httpd.ClientTransport]
+	gwCfg.Obs, gwCfg.Ring, gwCfg.Stages, gwCfg.Slow = d.plane.reg, d.plane.ring, d.plane.stages, d.plane.slow
+	gwCfg.EnablePprof = d.pprof
+	gwCfg.ClientStatsFunc = func() any {
+		if c := clientRef.Load(); c != nil {
+			return c.Stats()
 		}
 		return nil
 	}
-}
+	gw, ct, cleanup, err := httpd.WrapNetwork(d.sub.net, gwCfg, d.httpAddr)
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	clientRef.Store(ct)
+	pool, err := d.socketPool(ct)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Close()
 
-// runPhase executes fn between stat resets and packages the phase
-// measurements. The phase name also labels the pool's slow-ring
-// exemplars for the duration.
-func runPhase(pool *engine.Pool, name string, fn func()) phaseJSON {
-	pool.SetPhase(name)
-	pool.ResetStats()
-	var before engine.Stats
-	if pool.Cache() != nil {
-		before.Cache = pool.Cache().Stats()
-	}
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
+	section := &httpJSON{Addr: gw.Addr(), TLS: d.tls, Workers: d.httpWorkers, QueueDepth: d.httpQueue}
 
-	st := pool.Stats()
-	ph := phaseJSON{
-		Name:      name,
-		Tasks:     st.Tasks,
-		Errors:    len(st.Errors),
-		P50Ms:     ms(st.P50),
-		P99Ms:     ms(st.P99),
-		MeanMs:    ms(st.Mean),
-		ElapsedMs: ms(elapsed),
-		Decisions: st.Decisions,
-	}
-	if pool.Cache() != nil {
-		delta := st.Cache.Sub(before.Cache)
-		ph.Cache = &cacheJSON{
-			Hits:    delta.Hits,
-			Misses:  delta.Misses,
-			HitRate: delta.HitRate(),
-			Entries: st.Cache.Entries,
-		}
-		if ph.Decisions == 0 {
-			// Attack environments keep their own audit logs; the
-			// shared cache still sees every mediated decision.
-			ph.Decisions = delta.Hits + delta.Misses
-		}
-	}
-	if st.Batch.Nodes > 0 {
-		ph.Batch = &batchJSON{
-			NodesAuthorized:   st.Batch.Nodes,
-			DistinctDecisions: st.Batch.Distinct,
-			DedupRatio:        st.Batch.DedupRatio(),
-		}
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		ph.DecisionsPerSec = float64(ph.Decisions) / secs
-	}
-	for _, err := range st.Errors {
-		fmt.Fprintf(os.Stderr, "escudo-serve: %s: %v\n", name, err)
-	}
-	return ph
-}
-
-// httpSectionConfig parameterizes the loopback replay.
-type httpSectionConfig struct {
-	addr           string
-	workers, queue int
-	sessions       int
-	iters          int
-	mixedIters     int
-	attacksOn      bool
-	tls            bool
-	pprofOn        bool
-	mode           browser.Mode
-	uncached       bool
-	cache          *core.DecisionCache
-	net            *web.Network
-	policies       map[string]policy.Policy
-	bench          origin.Origin
-	forum          origin.Origin
-	cal            origin.Origin
-	portal         origin.Origin
-	topicID        int
-	memAttacks     []attack.Result
-	// reg and ring are the run's shared observability plane: the
-	// gateway exports reg on /varz and ring on /tracez, and the loadgen
-	// sessions record every mediated decision into ring.
-	reg  *obs.Registry
-	ring *obs.DecisionRing
-	// stages and slow are the latency-attribution plane: per-stage
-	// histograms (escudo_stage_seconds) and the slowest-N exemplar ring
-	// (/slowz), shared by the gateway and the loadgen pool.
-	stages *obs.StageSet
-	slow   *obs.SlowRing
-	// soak, when positive, appends an http-soak phase: mixed load
-	// looped until the deadline, long enough for the runtime sampler to
-	// establish whether goroutines and heap return to baseline.
-	soak time.Duration
-}
-
-// fillGatewayStats writes the gateway-side fields of a phase row from
-// one stats delta — the single mapping both the loadgen phases (main
-// gateway) and the attack phase (aggregated per-env gateways) use.
-func fillGatewayStats(ph *httpPhaseJSON, st httpd.Stats) {
-	ph.Requests = st.Served
-	ph.Rejected503 = st.Rejected503
-	ph.QueueDepthMax = st.MaxQueueDepth
-	ph.CacheHits = st.Cache.Hits
-	ph.CacheMisses = st.Cache.Misses
-	ph.CacheHitRate = st.Cache.HitRate()
-	ph.CacheEvicted = st.Cache.Evictions
-	ph.ReqsPerSec = 0
-	if secs := ph.ElapsedMs / 1000; secs > 0 {
-		ph.ReqsPerSec = float64(st.Served) / secs
-	}
-}
-
-// runClientPhase measures the client side of one loopback phase:
-// per-task latency across the pool's sessions. Gateway-side fields
-// are filled separately, because different phases read different
-// gateways (the loadgen phases the shared one, the attack phase an
-// aggregate of per-environment ones).
-func runClientPhase(pool *engine.Pool, name string, fn func()) httpPhaseJSON {
-	pool.SetPhase(name)
-	pool.ResetStats()
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-
-	st := pool.Stats()
-	ph := httpPhaseJSON{
-		Name:      name,
-		Tasks:     st.Tasks,
-		Errors:    len(st.Errors),
-		P50Ms:     ms(st.P50),
-		P99Ms:     ms(st.P99),
-		MeanMs:    ms(st.Mean),
-		ElapsedMs: ms(elapsed),
-	}
-	for _, err := range st.Errors {
-		fmt.Fprintf(os.Stderr, "escudo-serve: %s: %v\n", name, err)
-	}
-	return ph
-}
-
-// runHTTPPhase is runClientPhase plus the shared gateway's
-// served/503/queue/cache deltas for the phase.
-func runHTTPPhase(pool *engine.Pool, gw *httpd.Gateway, name string, fn func()) httpPhaseJSON {
-	before := gw.Stats()
-	gw.ResetQueueHighWater()
-	ph := runClientPhase(pool, name, fn)
-	fillGatewayStats(&ph, gw.Stats().Sub(before))
-	return ph
-}
-
-// fetchPolicyz reads the admin /policyz endpoint, over https when the
-// gateway terminates TLS (ca non-nil).
-func fetchPolicyz(addr string, ca *httpd.CA) (map[string]policy.Policy, error) {
-	client := http.DefaultClient
+	// Wire-delivery cross-check: /policyz must serve every mounted
+	// document back equal to what was mounted.
+	var client *http.Client
 	scheme := "http"
-	if ca != nil {
+	if ca := gwCfg.TLS; ca != nil {
 		scheme = "https"
 		client = &http.Client{
 			Transport: &http.Transport{TLSClientConfig: &tls.Config{RootCAs: ca.Pool(), MinVersion: tls.VersionTLS12}},
 			Timeout:   10 * time.Second,
 		}
 	}
-	resp, err := client.Get(scheme + "://" + addr + "/policyz")
-	if err != nil {
-		return nil, fmt.Errorf("fetching /policyz: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/policyz: status %d", resp.StatusCode)
-	}
-	var doc struct {
-		Generation uint64                   `json:"generation"`
-		Policies   map[string]policy.Policy `json:"policies"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decoding /policyz: %w", err)
-	}
-	return doc.Policies, nil
-}
-
-// runHTTPSection mounts the substrate on a gateway, replays the
-// figure-4 and mixed workloads through fresh sessions speaking real
-// HTTP over loopback, replays the attack corpus against per-
-// environment gateways, and cross-checks every verdict against the
-// in-memory run.
-func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
-	// Every origin with a derived policy document gets it mounted, so
-	// the gateway serves it at the well-known path and lists it on
-	// /policyz — policy as data on the wire, enforcement staying
-	// browser-side.
-	originCfgs := map[string]httpd.OriginConfig{}
-	for o, doc := range cfg.policies {
-		doc := doc
-		originCfgs[o] = httpd.OriginConfig{Policy: &doc}
-	}
-	// The loadgen transport is created by WrapNetwork below, but the
-	// gateway config needs the stats hook now — late-bind through an
-	// atomic pointer so /metricsz can surface connection reuse.
-	var clientRef atomic.Pointer[httpd.ClientTransport]
-	gwCfg := httpd.Config{
-		DefaultWorkers:    cfg.workers,
-		DefaultQueueDepth: cfg.queue,
-		Origins:           originCfgs,
-		EnablePprof:       cfg.pprofOn,
-		Obs:               cfg.reg,
-		Ring:              cfg.ring,
-		Stages:            cfg.stages,
-		Slow:              cfg.slow,
-		ClientStatsFunc: func() any {
-			if c := clientRef.Load(); c != nil {
-				return c.Stats()
-			}
-			return nil
-		},
-	}
-	var ca *httpd.CA
-	if cfg.tls {
-		c, err := httpd.NewCA()
-		if err != nil {
-			return nil, err
-		}
-		ca = c
-		gwCfg.TLS = ca
-	}
-	gw, ct, gwCleanup, err := httpd.WrapNetwork(cfg.net, gwCfg, cfg.addr)
+	served, err := ctlplane.FetchPolicyz(context.Background(), client, scheme, gw.Addr())
 	if err != nil {
 		return nil, err
 	}
-	defer gwCleanup()
-	clientRef.Store(ct)
-
-	httpPool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
-		Transport: ct,
-		Options:   browser.Options{Mode: cfg.mode, DecisionRing: cfg.ring},
-		Cache:     cfg.cache,
-		Uncached:  cfg.uncached,
-		Stages:    cfg.stages,
-		Slow:      cfg.slow,
-	})
-	if err != nil {
-		return nil, err
+	if len(served.Policies) != len(d.sub.policies) {
+		return nil, fmt.Errorf("policyz served %d documents, mounted %d", len(served.Policies), len(d.sub.policies))
 	}
-	defer httpPool.Close()
-
-	section := &httpJSON{Addr: gw.Addr(), TLS: cfg.tls, Workers: cfg.workers, QueueDepth: cfg.queue}
-
-	// Wire-delivery cross-check: /policyz must serve every mounted
-	// document back equal to what was mounted.
-	served, err := fetchPolicyz(gw.Addr(), ca)
-	if err != nil {
-		return nil, err
-	}
-	if len(served) != len(cfg.policies) {
-		return nil, fmt.Errorf("policyz served %d documents, mounted %d", len(served), len(cfg.policies))
-	}
-	for o, doc := range cfg.policies {
-		got, ok := served[o]
-		if !ok || !got.Equal(doc) {
+	for o, doc := range d.sub.policies {
+		if got, err := policy.Parse(served.Policies[o]); err != nil || !got.Equal(doc) {
 			return nil, fmt.Errorf("policyz document for %s diverges from the mounted one", o)
 		}
 	}
-	section.PolicyzOrigins = len(served)
+	section.PolicyzOrigins = len(served.Policies)
 
-	// Unmeasured warm round: establish the scenario session cookie and
-	// the phpBB logins the mixed workload's browsing arm assumes.
-	paths := scenarios.Paths()
-	httpPool.Each(func(s *engine.Session) error {
-		if _, err := s.Browser.Navigate(cfg.bench.URL(paths[0])); err != nil {
-			return err
-		}
-		p, err := s.Browser.Navigate(cfg.forum.URL("/"))
-		if err != nil {
-			return err
-		}
-		form := p.Doc.ByID("loginform")
-		if form == nil {
-			return fmt.Errorf("no loginform over http")
-		}
-		_, err = p.SubmitForm(form, map[string][]string{
-			"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
-		})
-		return err
-	})
-	if st := httpPool.Stats(); len(st.Errors) > 0 {
-		return nil, fmt.Errorf("http warmup: %w", st.Errors[0])
+	// Unmeasured warm round: the scenario session cookie and the phpBB
+	// logins the mixed workload's browsing arm assumes.
+	user := account(0, d.sessions)
+	if err := warmUp(pool, func(s *engine.Session) error { return login(s, forumOrigin, user(s.ID)) }); err != nil {
+		return nil, fmt.Errorf("http warmup: %w", err)
 	}
 
 	// The figure4 replay doubles as the allocation gate: the phase's
@@ -656,18 +825,10 @@ func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
 	runtime.GC()
 	var memBefore, memAfter runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	fig4 := runHTTPPhase(httpPool, gw, "http-figure4", func() {
-		for r := 0; r < cfg.iters; r++ {
-			for _, path := range paths {
-				p := path
-				httpPool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(cfg.bench.URL(p))
-					return err
-				})
-			}
-		}
-		httpPool.Wait()
-	})
+	gwBefore := gw.Stats()
+	gw.ResetQueueHighWater()
+	m, _ := measure(pool, "http-figure4", func() { figure4Rounds(pool, benchOrigin, d.iters) })
+	fig4 := gatewayRow(m, gw.Stats().Sub(gwBefore))
 	runtime.ReadMemStats(&memAfter)
 	if fig4.Requests > 0 {
 		fig4.AllocsPerRequest = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(fig4.Requests)
@@ -675,90 +836,38 @@ func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
 	section.AllocsPerRequest = fig4.AllocsPerRequest
 	section.Phases = append(section.Phases, fig4)
 
-	if cfg.mixedIters > 0 {
-		section.Phases = append(section.Phases, runHTTPPhase(httpPool, gw, "http-mixed", func() {
-			httpPool.Each(mixedTask(cfg.forum, cfg.cal, cfg.portal, cfg.topicID, cfg.mixedIters))
-		}))
+	if d.mixedIters > 0 {
+		gwBefore = gw.Stats()
+		gw.ResetQueueHighWater()
+		m, _ := measure(pool, "http-mixed", func() { pool.Each(mixedTask(d.sub.topicID, d.mixedIters)) })
+		section.Phases = append(section.Phases, gatewayRow(m, gw.Stats().Sub(gwBefore)))
 	}
 
-	// Soak: mixed load looped until the deadline. The phase exists for
-	// the runtime sampler — long enough wall-clock for goroutine and
-	// heap series to show whether the process returns to its idle shape
-	// (the CI soak gate asserts exactly that on the obs section).
-	if cfg.soak > 0 {
-		deadline := time.Now().Add(cfg.soak)
-		section.Phases = append(section.Phases, runHTTPPhase(httpPool, gw, "http-soak", func() {
-			for time.Now().Before(deadline) {
-				httpPool.Each(mixedTask(cfg.forum, cfg.cal, cfg.portal, cfg.topicID, 1))
-			}
-		}))
+	// Soak: mixed load looped through the gateway until the deadline,
+	// under the leak watch the CI soak gate reads (see soak).
+	if d.soak > 0 {
+		gwBefore = gw.Stats()
+		gw.ResetQueueHighWater()
+		m, _ := measure(pool, "http-soak", func() { d.leak, _ = soak(pool, d.sub.net, d.sub.topicID, d.soak) })
+		section.Phases = append(section.Phases, gatewayRow(m, gw.Stats().Sub(gwBefore)))
 	}
 
 	// Attack replay over sockets: each environment's private network
 	// gets its own loopback gateway, and each verdict must equal the
 	// in-memory one — transport independence, asserted. The phase's
-	// traffic counters aggregate the per-environment gateways (the
-	// main gateway sees none of this traffic). Each of those gateways
-	// counts into a private registry: on the shared one, every
-	// g.Stats() would read the fleet-wide counter, and the phase would
-	// sum 18 cumulative readings.
-	if cfg.attacksOn {
-		envCfg := gwCfg
-		envCfg.Obs = nil
-		var attackGW struct {
-			mu     sync.Mutex
-			st     httpd.Stats
-			client httpd.ClientStats
-		}
-		wrapper := func(n *web.Network) (web.Transport, func(), error) {
-			g, c, envCleanup, err := httpd.WrapNetwork(n, envCfg, "127.0.0.1:0")
-			if err != nil {
-				return nil, nil, err
-			}
-			cleanup := func() {
-				attackGW.mu.Lock()
-				attackGW.st = attackGW.st.Add(g.Stats())
-				attackGW.client = attackGW.client.Add(c.Stats())
-				attackGW.mu.Unlock()
-				envCleanup()
-			}
-			return c, cleanup, nil
-		}
-		corpus := attack.Corpus()
-		httpResults := make([]attack.Result, len(corpus))
-		ph := runClientPhase(httpPool, "http-attacks", func() {
-			for i, atk := range corpus {
-				i, atk := i, atk
-				httpPool.Submit(func(*engine.Session) error {
-					httpResults[i] = attack.RunOneOver(atk, cfg.mode, cfg.cache, wrapper)
-					return httpResults[i].Err
-				})
-			}
-			httpPool.Wait()
+	// traffic counters sum the per-environment gateways (the main
+	// gateway sees none of this traffic).
+	if d.attacks {
+		wrap, envStats := attackGateways(gwCfg)
+		var diverged []string
+		m, _ := measure(pool, "http-attacks", func() {
+			_, section.Attacks, diverged = replayAttacks(pool, d.mode, wrap, d.memAttacks)
 		})
-		attackGW.mu.Lock()
-		agg := attackGW.st
-		attackClient := cluster.FromClientStats(attackGW.client)
-		attackGW.mu.Unlock()
-		fillGatewayStats(&ph, agg)
+		gateways, clients := envStats()
+		section.Phases = append(section.Phases, gatewayRow(m, gateways))
+		attackClient := cluster.FromClientStats(clients)
 		section.AttackClient = &attackClient
-		section.Phases = append(section.Phases, ph)
-		aj := &attacksJSON{Total: len(corpus)}
-		matches := true
-		for i, r := range httpResults {
-			if r.Neutralized() {
-				aj.Neutralized++
-			} else {
-				aj.Succeeded++
-			}
-			if i < len(cfg.memAttacks) && cfg.memAttacks[i].Succeeded != r.Succeeded {
-				matches = false
-				fmt.Fprintf(os.Stderr,
-					"escudo-serve: VERDICT DIVERGENCE %s: in-memory succeeded=%v, sockets succeeded=%v\n",
-					corpus[i].Name, cfg.memAttacks[i].Succeeded, r.Succeeded)
-			}
-		}
-		section.Attacks = aj
+		matches := len(diverged) == 0
 		section.AttacksMatchMemory = &matches
 		if !matches {
 			return nil, fmt.Errorf("attack verdicts diverge between in-memory and socket transports")
@@ -772,563 +881,47 @@ func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
 	return section, nil
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("escudo-serve", flag.ContinueOnError)
-	sessionsN := fs.Int("sessions", 8, "number of concurrent browser sessions")
-	iters := fs.Int("iters", 5, "rounds through all Figure-4 scenarios per session")
-	phpbbIters := fs.Int("phpbb-iters", 20, "phpBB page views per session")
-	mixedIters := fs.Int("mixed-iters", 10, "mixed-workload rounds per session (0 disables the phase)")
-	scriptIters := fs.Int("script-iters", 60, "script-engine corpus passes per round per engine (0 disables the script section)")
-	procs := fs.Int("procs", 0, "GOMAXPROCS override (0 keeps the runtime default)")
-	procsBench := fs.Int("procs-bench", 0, "re-run the figure4 phase at this GOMAXPROCS after the main phases and record it as procs_variant (0 disables)")
-	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof on the gateway's admin host under /debug/pprof (with -http)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile (after the run, post-GC) to this file")
-	modeFlag := fs.String("mode", "escudo", "protection mode: escudo or sop")
-	attacksOn := fs.Bool("attacks", true, "replay the §6.4 attack corpus")
-	uncached := fs.Bool("uncached", false, "disable the shared decision cache (baseline)")
-	httpAddr := fs.String("http", "", "also mount the origins on a real HTTP gateway at this address (e.g. 127.0.0.1:0) and replay the workloads over loopback sockets")
-	httpWorkers := fs.Int("http-workers", 4, "gateway per-origin worker count")
-	httpQueue := fs.Int("http-queue", 64, "gateway per-origin queue depth (overflow → 503)")
-	soak := fs.Duration("soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
-	openloopFlag := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section; in -cluster mode each worker drives this spec and the shards merge")
-	tlsOn := fs.Bool("tls", false, "terminate https on the gateway with an ephemeral in-memory CA (with -http, -serve-only, or -cluster; with -connect, trust -tls-ca)")
-	serveOnly := fs.Bool("serve-only", false, "server mode: mount the substrate on a gateway and serve until SIGTERM (no loadgen)")
-	connectAddr := fs.String("connect", "", "worker mode: generate load against a remote gateway at this address and write a BENCH shard to -out")
-	clusterN := fs.Int("cluster", 0, "cluster mode: fork/exec one -serve-only server plus N -connect workers and merge their shards into a cluster section")
-	clusterBin := fs.String("cluster-bin", "", "binary to fork/exec in -cluster mode (default: this executable)")
-	tlsCAOut := fs.String("tls-ca-out", "", "serve-only: write the CA certificate (no key) to this PEM file for workers to trust")
-	tlsCAFile := fs.String("tls-ca", "", "connect: CA certificate bundle to verify the gateway's TLS leafs against")
-	addrFile := fs.String("addr-file", "", "serve-only: write the bound listener address to this file")
-	statsFile := fs.String("stats-file", "", "serve-only: write gateway-side stats JSON here on graceful shutdown")
-	workerID := fs.Int("worker-id", 0, "connect: this worker's index in the cluster (labels the shard)")
-	accountsN := fs.Int("accounts", 0, "serve-only: register this many phpBB/PHP-Calendar accounts (0 = one per session; a cluster supervisor passes workers×sessions so each worker gets a disjoint account range)")
-	controlOn := fs.Bool("control", false, "run the policy control-plane section: mount -tenants stamped origins on a dedicated gateway, push a live policy flip mid-load (invalidation storm), and measure noisy-neighbor isolation")
-	tenantsN := fs.Int("tenants", 1024, "tenant origins to mount in the -control section")
-	out := fs.String("out", "BENCH_engine.json", "output JSON path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *sessionsN < 1 {
-		return fmt.Errorf("-sessions must be >= 1, got %d", *sessionsN)
-	}
-	if *tlsOn && *httpAddr == "" && !*serveOnly && *connectAddr == "" && *clusterN == 0 {
-		return fmt.Errorf("-tls needs a gateway: combine it with -http, -serve-only, -connect, or -cluster")
-	}
-	if *procs > 0 {
-		// Clamp to the physical CPU count: GOMAXPROCS above it buys no
-		// parallelism, only OS-thread thrash that wrecks tail latency.
-		effective := *procs
-		if n := runtime.NumCPU(); effective > n {
-			fmt.Fprintf(os.Stderr, "escudo-serve: -procs %d clamped to %d (machine CPU count)\n", *procs, n)
-			effective = n
-		}
-		runtime.GOMAXPROCS(effective)
-	}
-	mode, err := parseMode(*modeFlag)
+// openLoopSection offers open-loop Poisson arrivals to a dedicated
+// loopback gateway sharing the substrate, cache, and observability
+// plane, so the open-loop storm cannot perturb the equivalence-checked
+// phases: offered vs achieved rate, per-stage tails, churn
+// bookkeeping, exemplar traces, and the window's leak verdict.
+func (d *driver) openLoopSection() (*slo.Result, error) {
+	gwCfg, err := gatewayConfig(d.sub.policies, d.httpWorkers, d.httpQueue, false)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var olSpec openLoopSpec
-	if *openloopFlag != "" {
-		if olSpec, err = parseOpenLoop(*openloopFlag); err != nil {
-			return err
-		}
-	}
-
-	// The multi-process modes: a cluster supervisor, a server-only
-	// gateway process, or a loadgen worker. Each is a complete program
-	// of its own; the classic single-process driver continues below.
-	switch {
-	case *clusterN > 0:
-		return runCluster(clusterConfig{
-			workers:     *clusterN,
-			bin:         *clusterBin,
-			sessions:    *sessionsN,
-			iters:       *iters,
-			phpbbIters:  *phpbbIters,
-			mode:        *modeFlag,
-			attacksOn:   *attacksOn,
-			uncached:    *uncached,
-			tls:         *tlsOn,
-			httpWorkers: *httpWorkers,
-			httpQueue:   *httpQueue,
-			openloop:    *openloopFlag,
-			out:         *out,
-		})
-	case *serveOnly:
-		// Register the handler before anything else runs so a SIGTERM
-		// arriving during startup still takes the graceful path.
-		stop := make(chan struct{})
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
-		go func() {
-			<-ch
-			close(stop)
-		}()
-		addr := *httpAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		return runServeOnly(serveOnlyConfig{
-			addr:      addr,
-			sessions:  *sessionsN,
-			accounts:  *accountsN,
-			workers:   *httpWorkers,
-			queue:     *httpQueue,
-			tls:       *tlsOn,
-			tlsCAOut:  *tlsCAOut,
-			addrFile:  *addrFile,
-			statsFile: *statsFile,
-		}, stop)
-	case *connectAddr != "":
-		return runConnect(connectConfig{
-			addr:        *connectAddr,
-			sessions:    *sessionsN,
-			iters:       *iters,
-			phpbbIters:  *phpbbIters,
-			mode:        mode,
-			uncached:    *uncached,
-			attacksOn:   *attacksOn,
-			tls:         *tlsOn,
-			tlsCAFile:   *tlsCAFile,
-			workerID:    *workerID,
-			httpWorkers: *httpWorkers,
-			httpQueue:   *httpQueue,
-			openloop:    olSpec,
-			out:         *out,
-		})
-	}
-
-	// Profiling covers the whole single-process run: all in-memory
-	// phases plus the http section, which is where the hot request
-	// path lives. (The multi-process modes returned above; profile
-	// their children by passing the flags through -connect/-serve-only
-	// invocations directly.)
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("creating -cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("starting CPU profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "escudo-serve: creating -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // report live heap, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "escudo-serve: writing heap profile: %v\n", err)
-			}
-		}()
-	}
-
-	// The run's observability plane: one registry (exported on /varz
-	// when a gateway is mounted), one decision-trace ring shared by all
-	// sessions, and a runtime sampler covering the whole run. Open-loop
-	// runs widen the ring so the slow exemplars' trace IDs stay
-	// resolvable on /tracez after the storm.
-	reg := obs.NewRegistry()
-	ringSize := 0
-	if *openloopFlag != "" {
-		ringSize = 65536
-	}
-	ring := obs.NewDecisionRing(ringSize)
-	smp := obs.NewSampler(reg, 200*time.Millisecond)
-	smp.Start()
-
-	// The latency-attribution plane: per-stage histograms and the
-	// slowest-N exemplar ring, threaded through every pool and gateway
-	// this run builds. Stage timing is always on — invariant 9 (timing
-	// observation never changes a verdict or a batch count) is enforced
-	// by construction and cross-checked in the httpd equivalence tests.
-	stages := obs.NewStageSet(reg)
-	slowRing := obs.NewSlowRing(0)
-
-	// Shared substrate: the Figure-4 scenario server, a phpBB instance
-	// with one account per session and a seeded topic, the
-	// mixed-workload apps, and their unified policy documents.
-	sub := buildSubstrate(*sessionsN)
-	net := sub.net
-	benchOrigin, forumOrigin := sub.bench, sub.forum
-	calOrigin, portalOrigin, widgetOrigin := sub.cal, sub.portal, sub.widget
-	topicID := sub.topicID
-	portalPolicy := sub.portalPolicy
-	policies := sub.policies
-
-	pool, err := engine.NewPool(engine.Config{
-		Sessions: *sessionsN,
-		Network:  net,
-		Options:  browser.Options{Mode: mode, DecisionRing: ring},
-		Uncached: *uncached,
-		Stages:   stages,
-		Slow:     slowRing,
-	})
+	gwCfg.Obs, gwCfg.Ring, gwCfg.Stages, gwCfg.Slow = d.plane.reg, d.plane.ring, d.plane.stages, d.plane.slow
+	_, ct, cleanup, err := httpd.WrapNetwork(d.sub.net, gwCfg, "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
+	}
+	defer cleanup()
+	pool, err := d.socketPool(ct)
+	if err != nil {
+		return nil, err
 	}
 	defer pool.Close()
-
-	report := benchJSON{
-		Sessions:       *sessionsN,
-		Mode:           mode.String(),
-		Uncached:       *uncached,
-		ProcsRequested: *procs,
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
+	// Unmeasured warm round: session cookies exist, connections are
+	// established, so the measured window starts from a steady state.
+	if err := warmUp(pool, nil); err != nil {
+		return nil, fmt.Errorf("openloop warmup: %w", err)
 	}
-	total := time.Now()
+	return driveOpenLoop(pool, d.olSpec, d.plane.stages, d.plane.slow, account(0, d.sessions), d.sub.net)
+}
 
-	// Phase 1 — Figure-4 scenarios: every session walks all eight
-	// pages, repeatedly. One unmeasured warm navigation per session
-	// first, so the session cookie exists and every measured load
-	// exercises cookie use (runPhase resets the stats it leaves).
-	paths := scenarios.Paths()
-	pool.Each(func(s *engine.Session) error {
-		_, err := s.Browser.Navigate(benchOrigin.URL(paths[0]))
-		return err
-	})
-	// Post-warmup mark: the pool's steady-state goroutine count, the
-	// baseline the soak gate compares the end-of-run count against.
-	smp.Mark()
-	report.Phases = append(report.Phases, runPhase(pool, "figure4", func() {
-		for r := 0; r < *iters; r++ {
-			for _, path := range paths {
-				p := path
-				pool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(benchOrigin.URL(p))
-					return err
-				})
-			}
-		}
-		pool.Wait()
-	}))
-
-	// Phase 2 — phpBB browsing: each session logs into its own
-	// account, then alternates between the index and the seeded topic,
-	// posting the occasional reply. This is the workload whose
-	// decision stream is maximally repetitive — the cache's best case
-	// and the paper's "active session with a trusted site" setting.
-	report.Phases = append(report.Phases, runPhase(pool, "phpbb", func() {
-		pool.Each(func(s *engine.Session) error {
-			p, err := s.Browser.Navigate(forumOrigin.URL("/"))
-			if err != nil {
-				return err
-			}
-			form := p.Doc.ByID("loginform")
-			if form == nil {
-				return fmt.Errorf("no loginform")
-			}
-			if _, err := p.SubmitForm(form, map[string][]string{
-				"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
-			}); err != nil {
-				return err
-			}
-			for i := 0; i < *phpbbIters; i++ {
-				if _, err := s.Browser.Navigate(forumOrigin.URL("/")); err != nil {
-					return err
-				}
-				tp, err := s.Browser.Navigate(forumOrigin.URL(fmt.Sprintf("/viewtopic?t=%d", topicID)))
-				if err != nil {
-					return err
-				}
-				if i%5 == 4 {
-					reply := tp.Doc.ByID("replyform")
-					if reply == nil {
-						return fmt.Errorf("no replyform")
-					}
-					if _, err := tp.SubmitForm(reply, map[string][]string{
-						"message": {fmt.Sprintf("reply from session %d round %d", s.ID, i)},
-					}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}))
-
-	// Phase 3 — mixed workload: the sessions split three ways across
-	// one network — phpBB browsing, PHP-Calendar event tracking, and a
-	// mashup portal with cross-origin widgets — so the sharded network
-	// and shared cache face heterogeneous traffic instead of one app's
-	// repetitive decision stream.
-	if *mixedIters > 0 {
-		report.Phases = append(report.Phases, runPhase(pool, "mixed", func() {
-			pool.Each(mixedTask(forumOrigin, calOrigin, portalOrigin, topicID, *mixedIters))
-		}))
+// describeLeak renders a leak-watch verdict on one line.
+func describeLeak(l *obs.DriftReport) string {
+	if l == nil {
+		return "window too short for a verdict"
 	}
+	return fmt.Sprintf("slope %.0f B/s over %.1fs (%d points), growth %.1f%% of mean heap — suspected=%v",
+		l.SlopeBytesPerSec, l.WindowSec, l.Points, 100*l.GrowthFraction, l.Suspected)
+}
 
-	// In-memory soak: when no gateway is mounted, the soak loop runs
-	// the mixed workload directly (with -http it runs through the
-	// gateway in the http section instead).
-	if *soak > 0 && *httpAddr == "" {
-		deadline := time.Now().Add(*soak)
-		report.Phases = append(report.Phases, runPhase(pool, "soak", func() {
-			for time.Now().Before(deadline) {
-				pool.Each(mixedTask(forumOrigin, calOrigin, portalOrigin, topicID, 1))
-			}
-		}))
-	}
-
-	// Phase 4 — §6.4 attack corpus: every attack runs in a fresh
-	// environment, scheduled across the pool's sessions, with the
-	// shared cache plugged into each victim browser.
-	var memAttacks []attack.Result
-	if *attacksOn {
-		corpus := attack.Corpus()
-		memAttacks = make([]attack.Result, len(corpus))
-		ph := runPhase(pool, "attacks", func() {
-			for i, atk := range corpus {
-				i, atk := i, atk
-				pool.Submit(func(*engine.Session) error {
-					memAttacks[i] = attack.RunOneCached(atk, mode, pool.Cache())
-					return memAttacks[i].Err
-				})
-			}
-			pool.Wait()
-		})
-		aj := &attacksJSON{Total: len(corpus)}
-		for _, r := range memAttacks {
-			if r.Neutralized() {
-				aj.Neutralized++
-			} else {
-				aj.Succeeded++
-			}
-		}
-		ph.Attacks = aj
-		report.Phases = append(report.Phases, ph)
-	}
-
-	// GOMAXPROCS>1 variant: re-run the figure4 phase with the runtime
-	// widened to -procs-bench cores, then restore it, so the report
-	// carries the serial and parallel numbers side by side.
-	if *procsBench > 0 {
-		want := *procsBench
-		if n := runtime.NumCPU(); want > n {
-			fmt.Fprintf(os.Stderr, "escudo-serve: -procs-bench %d clamped to %d (machine CPU count)\n", *procsBench, n)
-			want = n
-		}
-		prev := runtime.GOMAXPROCS(want)
-		variant := &procsVariantJSON{Procs: *procsBench, GoMaxProcs: runtime.GOMAXPROCS(0)}
-		variant.Phases = append(variant.Phases, runPhase(pool, "figure4-procs", func() {
-			for r := 0; r < *iters; r++ {
-				for _, path := range paths {
-					p := path
-					pool.Submit(func(s *engine.Session) error {
-						_, err := s.Browser.Navigate(benchOrigin.URL(p))
-						return err
-					})
-				}
-			}
-			pool.Wait()
-		}))
-		runtime.GOMAXPROCS(prev)
-		report.ProcsVariant = variant
-	}
-
-	// Policy section — the unified documents round-trip-checked, and
-	// the delegated-session phase: a second pool whose sessions mount
-	// the §7 delegation monitor through browser.Options.MonitorFactory
-	// (sharing the main pool's decision cache), so the delegated widget
-	// renders into its portal slot across real concurrent sessions
-	// while its overreach is denied. ESCUDO mode only: delegation is
-	// meaningless under the flat SOP baseline.
-	polSection := &policyJSON{RoundTripOK: true}
-	for o, doc := range policies {
-		polSection.Origins = append(polSection.Origins, o)
-		polSection.Delegations += len(doc.Delegations)
-		data, err := doc.Marshal()
-		if err != nil {
-			return err
-		}
-		back, err := policy.Parse(data)
-		if err != nil || !back.Equal(doc) {
-			polSection.RoundTripOK = false
-		}
-	}
-	sort.Strings(polSection.Origins)
-	if mode == browser.ModeEscudo {
-		delPol, err := portalPolicy.DelegationPolicy()
-		if err != nil {
-			return err
-		}
-		sharedCache := pool.Cache()
-		delPool, err := engine.NewPool(engine.Config{
-			Sessions: *sessionsN,
-			Network:  net,
-			Cache:    sharedCache,
-			Uncached: *uncached,
-			Options: browser.Options{
-				Mode:         mode,
-				DecisionRing: ring,
-				MonitorFactory: func(browser.PageRef) core.Monitor {
-					return core.Compose(&core.ERM{}, core.WithCache(sharedCache), core.WithDelegations(delPol))
-				},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer delPool.Close()
-		delIters := *mixedIters
-		if delIters <= 0 {
-			delIters = 1
-		}
-		polSection.Phases = append(polSection.Phases, runPhase(delPool, "delegated-session", func() {
-			delPool.Each(func(s *engine.Session) error {
-				widgetP := core.Principal(widgetOrigin, 0, "widget")
-				for i := 0; i < delIters; i++ {
-					p, err := s.Browser.Navigate(portalOrigin.URL("/"))
-					if err != nil {
-						return err
-					}
-					if err := p.RunScriptAs(widgetP, fmt.Sprintf(
-						`document.getElementById("slot%d").innerHTML = "forecast s%d r%d";`,
-						i%8, s.ID, i)); err != nil {
-						return fmt.Errorf("delegated slot write denied: %w", err)
-					}
-					if err := p.RunScriptAs(widgetP,
-						`document.getElementById("chrome").innerHTML = "pwned";`); err == nil {
-						return fmt.Errorf("delegation failed to confine the widget to its floor")
-					}
-				}
-				return nil
-			})
-		}))
-	}
-	report.Policy = polSection
-
-	// HTTP section — the client/server split: the same origins served
-	// from a real net/http gateway, the same workloads replayed by
-	// fresh sessions over loopback sockets through the shared decision
-	// cache, and the attack corpus cross-checked transport-for-
-	// transport.
-	if *httpAddr != "" {
-		h, err := runHTTPSection(httpSectionConfig{
-			addr:       *httpAddr,
-			workers:    *httpWorkers,
-			queue:      *httpQueue,
-			sessions:   *sessionsN,
-			iters:      *iters,
-			mixedIters: *mixedIters,
-			attacksOn:  *attacksOn,
-			tls:        *tlsOn,
-			pprofOn:    *pprofOn,
-			mode:       mode,
-			uncached:   *uncached,
-			cache:      pool.Cache(),
-			net:        net,
-			policies:   policies,
-			bench:      benchOrigin,
-			forum:      forumOrigin,
-			cal:        calOrigin,
-			portal:     portalOrigin,
-			topicID:    topicID,
-			memAttacks: memAttacks,
-			reg:        reg,
-			ring:       ring,
-			stages:     stages,
-			slow:       slowRing,
-			soak:       *soak,
-		})
-		if err != nil {
-			return err
-		}
-		report.HTTP = h
-	}
-
-	// SLO section — open-loop Poisson arrivals against a dedicated
-	// loopback gateway sharing the substrate, cache, and observability
-	// plane: offered vs achieved rate, per-stage tails, churn
-	// bookkeeping, exemplar traces, and the window's leak verdict.
-	if *openloopFlag != "" {
-		res, err := runOpenLoopSection(openLoopSectionConfig{
-			spec:     olSpec,
-			sessions: *sessionsN,
-			workers:  *httpWorkers,
-			queue:    *httpQueue,
-			httpCfg: httpSectionConfig{
-				mode:     mode,
-				uncached: *uncached,
-				cache:    pool.Cache(),
-				net:      net,
-				policies: policies,
-				bench:    benchOrigin,
-				forum:    forumOrigin,
-				reg:      reg,
-				ring:     ring,
-			},
-			stages: stages,
-			slow:   slowRing,
-		})
-		if err != nil {
-			return err
-		}
-		report.SLO = res
-	}
-
-	// Control-plane section — a dedicated multi-tenant gateway, a live
-	// policy flip pushed mid-load, and the noisy-neighbor harness. Runs
-	// on its own gateway and pool so its storm (which invalidates its
-	// decision cache) cannot perturb the equivalence-checked phases.
-	if *controlOn {
-		c, err := runControlSection(controlSectionConfig{
-			tenants:   *tenantsN,
-			sessions:  *sessionsN,
-			iters:     *iters,
-			workers:   *httpWorkers,
-			queue:     *httpQueue,
-			mode:      mode,
-			uncached:  *uncached,
-			attacksOn: *attacksOn,
-		})
-		if err != nil {
-			return err
-		}
-		report.Control = c
-	}
-
-	// Script section — interpreter vs compiled VM on the shared corpus,
-	// after every workload phase so the compile-cache counters cover
-	// the run's full <script> traffic.
-	if *scriptIters > 0 {
-		s, err := runScriptSection(*scriptIters)
-		if err != nil {
-			return err
-		}
-		report.Script = s
-	}
-
-	// Close the observability window: a final sample, then the obs
-	// section with the run's build stamp, sampler series, and
-	// decision-trace ring traffic.
-	sampStats := smp.Stop()
-	report.Obs = &obsJSON{
-		Version:                obs.Version(),
-		Sampler:                sampStats,
-		DecisionEventsRecorded: ring.Total(),
-		DecisionEventsRetained: ring.Len(),
-	}
-
-	report.TotalMs = ms(time.Since(total))
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
-	}
-
+// printReport renders the report on stdout and returns an error when
+// any phase recorded task errors, so the run exits nonzero.
+func printReport(report *benchJSON, out string) error {
 	fmt.Printf("ESCUDO engine load driver — %d sessions, mode %s (GOMAXPROCS %d)\n\n",
 		report.Sessions, report.Mode, report.GoMaxProcs)
 	t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Decisions", "Dec/s", "Cache hit rate", "Batch n→k")
@@ -1439,12 +1032,14 @@ func run(args []string) error {
 		}
 	}
 	if o := report.Obs; o != nil {
-		fmt.Printf("\nObs: %s, %d samples every %.0f ms — goroutines first/post-warmup/last %d/%d/%d, heap monotonic=%v, %d GC cycles, %d decision events (%d retained)\n",
+		fmt.Printf("\nObs: %s, %d samples every %.0f ms — goroutines first/post-warmup/last %d/%d/%d, %d GC cycles, %d decision events (%d retained)\n",
 			o.Version.Go, o.Sampler.Samples, o.Sampler.IntervalMs,
 			o.Sampler.Goroutines.First, o.Sampler.PostWarmupGoroutines, o.Sampler.Goroutines.Last,
-			o.Sampler.HeapMonotonic, o.Sampler.NumGC,
-			o.DecisionEventsRecorded, o.DecisionEventsRetained)
+			o.Sampler.NumGC, o.DecisionEventsRecorded, o.DecisionEventsRetained)
+		if o.Leak != nil {
+			fmt.Printf("Soak leak watch: %s\n", describeLeak(o.Leak))
+		}
 	}
-	fmt.Printf("\nWrote %s (%.0f ms total)\n", *out, report.TotalMs)
+	fmt.Printf("\nWrote %s (%.0f ms total)\n", out, report.TotalMs)
 	return nil
 }

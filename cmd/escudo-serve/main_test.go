@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -197,9 +198,36 @@ func TestServeUncached(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadMode pins flag validation: every bad combination
+// fails in parseFlags, before any role or phase starts — so the run
+// neither writes -out nor creates the -cpuprofile it would open first.
 func TestServeRejectsBadMode(t *testing.T) {
-	if err := run([]string{"-mode", "bogus"}); err == nil {
-		t.Fatal("bad -mode accepted")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"bad mode", []string{"-mode", "bogus"}, "-mode"},
+		{"no sessions", []string{"-sessions", "0"}, "-sessions"},
+		{"tls without gateway", []string{"-tls"}, "-tls needs a gateway"},
+		{"control with one tenant", []string{"-control", "-tenants", "1"}, "-tenants"},
+		{"ca out without tls", []string{"-serve-only", "-tls-ca-out", "ca.pem"}, "-tls-ca-out"},
+		{"bad openloop", []string{"-openloop", "rate=0,duration=1s"}, "-openloop"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, prof := filepath.Join(dir, "BENCH_engine.json"), filepath.Join(dir, "cpu.pprof")
+			args := append(tc.args, "-out", out, "-cpuprofile", prof)
+			err := run(args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q) = %v, want an error mentioning %q", tc.args, err, tc.want)
+			}
+			for _, f := range []string{out, prof} {
+				if _, err := os.Stat(f); err == nil {
+					t.Errorf("run(%q) got as far as writing %s", tc.args, filepath.Base(f))
+				}
+			}
+		})
 	}
 }
 
@@ -249,6 +277,18 @@ func TestServeHTTPSection(t *testing.T) {
 	}
 	if mx, ok := byName["http-mixed"]; !ok || mx.Requests == 0 {
 		t.Fatalf("http-mixed missing or inert: %+v", mx)
+	}
+	// Workload parity: the socket phases run the same shared workload
+	// functions as their in-memory twins, so they complete the same
+	// number of tasks.
+	memTasks := map[string]uint64{}
+	for _, ph := range report.Phases {
+		memTasks[ph.Name] = ph.Tasks
+	}
+	for httpName, memName := range map[string]string{"http-figure4": "figure4", "http-mixed": "mixed"} {
+		if got, want := byName[httpName].Tasks, memTasks[memName]; got != want || want == 0 {
+			t.Errorf("%s tasks = %d, %s tasks = %d: the workloads diverge", httpName, got, memName, want)
+		}
 	}
 	if h.Attacks == nil {
 		t.Fatal("http section has no attack stats")

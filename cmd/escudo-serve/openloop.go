@@ -17,14 +17,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/browser"
 	"repro/internal/engine"
-	"repro/internal/httpd"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/origin"
-	"repro/internal/scenarios"
 	"repro/internal/slo"
+	"repro/internal/web"
 )
 
 // openLoopSpec is the parsed -openloop flag:
@@ -81,49 +78,15 @@ func parseOpenLoop(s string) (openLoopSpec, error) {
 // record exemplars under.
 const openLoopPhase = "openloop"
 
-// trimInterval is the soak-retention cadence: how often the driver
-// drops the append-only accumulators (session audit logs, and
-// whatever the caller's trim hook owns). Long enough that resets are
-// off the per-arrival path, short enough that the retained backlog
-// between trims stays a few megabytes — a sawtooth the leak watch's
-// least-squares fit reads as flat.
-const trimInterval = 2 * time.Second
-
-// leakWarmup is how long the driver offers load before the leak
-// watch starts sampling: the first seconds of a storm pay one-time
-// steady-state costs (the 65536-entry decision ring filling, h2
-// stream buffers, histogram bucket slices) that a fit over the whole
-// window would read as linear growth. The leak question is whether
-// *steady-state* load accretes memory, so the watch opens after the
-// warm fraction — capped so short diagnostic runs still leave most
-// of their window to the fit (which abstains below 5s anyway).
-func leakWarmup(d time.Duration) time.Duration {
-	w := d / 4
-	if w > 5*time.Second {
-		w = 5 * time.Second
-	}
-	return w
-}
-
 // driveOpenLoop offers spec.duration of Poisson load to an
 // already-warm pool and packages the slo section. The pool must be
 // configured with the given StageSet and SlowRing (that is how
 // per-stage spans and exemplars reach the result); account names the
-// phpBB login a session uses for churn.
-//
-// trim, when non-nil, is called once per trimInterval alongside the
-// driver's own retention work: the session audit logs accrue one
-// record per decision — fine for the bounded closed-loop phases,
-// fatal for a soak (the leak watch would correctly convict the
-// driver itself) — so they are dropped on the same cadence. The
-// decision ring and the slow ring are bounded and keep serving
-// /tracez and /slowz joins across trims.
-func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Origin,
-	stages *obs.StageSet, slow *obs.SlowRing, account func(sessionID int) string,
-	trim func()) (*slo.Result, error) {
-
-	paths := scenarios.Paths()
-
+// phpBB login a session uses for churn. The window runs under a
+// longLoop, whose verdict is the section's leak verdict; net is the
+// in-process substrate it trims, nil when the substrate is remote.
+func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, stages *obs.StageSet, slow *obs.SlowRing,
+	account func(sessionID int) string, net *web.Network) (*slo.Result, error) {
 	// Churn bookkeeping: per-session login state is only ever touched
 	// by that session's own goroutine, so plain bools suffice; the
 	// Churn tracker owns the cross-session tally.
@@ -131,38 +94,20 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 	loggedIn := make([]bool, len(pool.Sessions()))
 	churnTask := func(s *engine.Session) error {
 		if loggedIn[s.ID] {
-			if _, err := s.Browser.Navigate(forum.URL("/logout")); err != nil {
+			if _, err := s.Browser.Navigate(forumOrigin.URL("/logout")); err != nil {
 				return err
 			}
 			loggedIn[s.ID] = false
 			churn.Logout()
 			return nil
 		}
-		p, err := s.Browser.Navigate(forum.URL("/"))
-		if err != nil {
-			return err
-		}
-		form := p.Doc.ByID("loginform")
-		if form == nil {
-			return fmt.Errorf("openloop churn: no loginform")
-		}
-		if _, err := p.SubmitForm(form, map[string][]string{
-			"username": {account(s.ID)}, "password": {"pw"},
-		}); err != nil {
+		if err := login(s, forumOrigin, account(s.ID)); err != nil {
 			return err
 		}
 		loggedIn[s.ID] = true
 		churn.Login()
 		return nil
 	}
-
-	// The leak watch is scoped to the open-loop window: a dedicated
-	// sampler (no registry — the run's gauges stay owned by the main
-	// sampler) whose drift verdict judges only this phase's heap. It
-	// starts after leakWarmup so one-time steady-state costs stay out
-	// of the fitted series (see leakWarmup).
-	smp := obs.NewSampler(nil, 200*time.Millisecond)
-	smpStarted := false
 
 	// Per-stage histograms are shared with the rest of the run, so the
 	// section reports the delta across the open-loop window.
@@ -188,11 +133,10 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 		Seed:        spec.seed,
 		P99BudgetMs: spec.p99Ms,
 	}
+	loop := newLongLoop(pool, net, spec.duration)
 	start := time.Now()
 	deadline := start.Add(spec.duration)
-	warmOver := start.Add(leakWarmup(spec.duration))
 	next := start
-	nextTrim := start.Add(trimInterval)
 	pathIdx := 0
 	for {
 		next = next.Add(arr.Next())
@@ -202,29 +146,16 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
-		if !smpStarted && time.Now().After(warmOver) {
-			smp.Start()
-			smp.Mark()
-			smpStarted = true
-		}
-		if now := time.Now(); now.After(nextTrim) {
-			for _, s := range pool.Sessions() {
-				s.Browser.Audit.Reset()
-			}
-			if trim != nil {
-				trim()
-			}
-			nextTrim = now.Add(trimInterval)
-		}
+		loop.tick()
 		res.Arrivals++
 		var task engine.Task
 		if churnP > 0 && coin.Float64() < churnP {
 			task = churnTask
 		} else {
-			p := paths[pathIdx%len(paths)]
+			p := scenarioPaths[pathIdx%len(scenarioPaths)]
 			pathIdx++
 			task = func(s *engine.Session) error {
-				_, err := s.Browser.Navigate(bench.URL(p))
+				_, err := s.Browser.Navigate(benchOrigin.URL(p))
 				return err
 			}
 		}
@@ -237,13 +168,6 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 			// refused under overload — counted, never retried.
 			res.Dropped++
 		}
-	}
-	if !smpStarted {
-		// Arrivals ran dry before the warmup elapsed (tiny rate or
-		// duration): open the watch now so Stop below is well-defined;
-		// the fit abstains on windows this short.
-		smp.Start()
-		smp.Mark()
 	}
 	pool.Wait()
 	res.DurationSec = time.Since(start).Seconds()
@@ -269,82 +193,10 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 
 	res.Exemplars = slow.Snapshot(openLoopPhase)
 
-	samp := smp.Stop()
-	res.Leak = samp.Drift
+	res.Leak = loop.verdict()
 
 	res.Finalize()
 	return res, nil
-}
-
-// openLoopSectionConfig parameterizes the single-process slo section:
-// its own gateway and pool over the shared substrate, so the open-loop
-// storm cannot perturb the equivalence-checked phases.
-type openLoopSectionConfig struct {
-	spec           openLoopSpec
-	sessions       int
-	workers, queue int
-	httpCfg        httpSectionConfig // substrate + obs plane reused verbatim
-	stages         *obs.StageSet
-	slow           *obs.SlowRing
-}
-
-// runOpenLoopSection mounts the substrate on a loopback gateway,
-// warms a dedicated pool, and runs the open-loop driver against it.
-func runOpenLoopSection(cfg openLoopSectionConfig) (*slo.Result, error) {
-	h := cfg.httpCfg
-	originCfgs := map[string]httpd.OriginConfig{}
-	for o, doc := range h.policies {
-		doc := doc
-		originCfgs[o] = httpd.OriginConfig{Policy: &doc}
-	}
-	gwCfg := httpd.Config{
-		DefaultWorkers:    cfg.workers,
-		DefaultQueueDepth: cfg.queue,
-		Origins:           originCfgs,
-		Obs:               h.reg,
-		Ring:              h.ring,
-		Stages:            cfg.stages,
-		Slow:              cfg.slow,
-	}
-	gw, ct, cleanup, err := httpd.WrapNetwork(h.net, gwCfg, "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	_ = gw
-
-	pool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
-		Transport: ct,
-		Options:   browser.Options{Mode: h.mode, DecisionRing: h.ring},
-		Cache:     h.cache,
-		Uncached:  h.uncached,
-		Stages:    cfg.stages,
-		Slow:      cfg.slow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Close()
-
-	// Unmeasured warm round: session cookies exist, connections are
-	// established, so the measured window starts from a steady state.
-	paths := scenarios.Paths()
-	pool.Each(func(s *engine.Session) error {
-		_, err := s.Browser.Navigate(h.bench.URL(paths[0]))
-		return err
-	})
-	if st := pool.Stats(); len(st.Errors) > 0 {
-		return nil, fmt.Errorf("openloop warmup: %w", st.Errors[0])
-	}
-
-	// The in-memory substrate's request log is the other append-only
-	// accumulator in this process; drop it on the same cadence. (In
-	// cluster mode the substrate lives in the server process and the
-	// worker's verdict doesn't sample it.)
-	return driveOpenLoop(pool, cfg.spec, h.bench, h.forum, cfg.stages, cfg.slow,
-		func(id int) string { return fmt.Sprintf("user%d", id) },
-		func() { h.net.ResetLog() })
 }
 
 // printSLO renders the slo section to stdout; it returns an error
@@ -370,13 +222,7 @@ func printSLO(s *slo.Result) error {
 	if s.P99BudgetMs > 0 {
 		fmt.Printf("p99 budget %.1f ms: within=%v\n", s.P99BudgetMs, s.P99WithinBudget)
 	}
-	if s.Leak != nil {
-		fmt.Printf("Leak watch: slope %.0f B/s over %.1fs (%d points), growth %.1f%% of mean heap — suspected=%v\n",
-			s.Leak.SlopeBytesPerSec, s.Leak.WindowSec, s.Leak.Points,
-			100*s.Leak.GrowthFraction, s.Leak.Suspected)
-	} else {
-		fmt.Println("Leak watch: window too short for a verdict")
-	}
+	fmt.Printf("Leak watch: %s\n", describeLeak(s.Leak))
 	for i, ex := range s.Exemplars {
 		if i >= 3 {
 			fmt.Printf("  … %d more exemplars on /slowz\n", len(s.Exemplars)-3)

@@ -170,17 +170,6 @@ const (
 	ModeSOP = browser.ModeSOP
 )
 
-// NewBrowser creates a browser on a transport (a *Network, or any
-// other Transport such as an HTTP gateway client).
-//
-// Deprecated: use New, which validates its inputs and wires unified
-// Policy documents and monitor pipelines in one place:
-//
-//	b, err := escudo.New(net, escudo.WithPolicy(pol))
-//
-// NewBrowser remains for callers that assemble BrowserOptions by hand.
-func NewBrowser(t Transport, opts BrowserOptions) *Browser { return browser.New(t, opts) }
-
 // PageRef identifies the page a MonitorFactory builds a monitor for.
 type PageRef = browser.PageRef
 
@@ -263,8 +252,8 @@ func WithMaxFrameDepth(d int) Option {
 
 // New builds a browsing session on the transport with functional
 // options over the monitor pipeline — the facade's one constructor.
-// With no options it is an ESCUDO-mode browser, exactly like
-// NewBrowser(t, BrowserOptions{}); WithPolicy mounts a unified policy
+// With no options it is an ESCUDO-mode browser with zero-value
+// BrowserOptions; WithPolicy mounts a unified policy
 // document (delegations included) into every page's monitor stack.
 func New(t Transport, options ...Option) (*Browser, error) {
 	if t == nil {

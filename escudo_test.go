@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/browser"
 	"repro/internal/core"
 )
 
@@ -37,7 +38,10 @@ func TestFacadeBrowserEndToEnd(t *testing.T) {
 		resp.Header.Set("X-Escudo-Maxring", "3")
 		return resp
 	}))
-	b := NewBrowser(net, BrowserOptions{Mode: ModeEscudo})
+	b, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := b.Navigate("http://app.example/")
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +131,8 @@ func TestFacadeConstants(t *testing.T) {
 }
 
 // TestFacadeNewDefaultsMatchNewBrowser checks escudo.New with no
-// options behaves exactly like the legacy constructor.
+// options behaves exactly like an ESCUDO-mode browser.New, the
+// constructor the removed NewBrowser wrapped.
 func TestFacadeNewDefaultsMatchNewBrowser(t *testing.T) {
 	site := MustParseOrigin("http://app.example")
 	build := func() *Network {
@@ -141,7 +146,7 @@ func TestFacadeNewDefaultsMatchNewBrowser(t *testing.T) {
 		}))
 		return net
 	}
-	oldB := NewBrowser(build(), BrowserOptions{Mode: ModeEscudo})
+	oldB := browser.New(build(), browser.Options{Mode: ModeEscudo})
 	newB, err := New(build())
 	if err != nil {
 		t.Fatal(err)

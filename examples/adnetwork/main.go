@@ -70,7 +70,10 @@ func main() {
 		return escudo.HTMLResponse("")
 	}))
 
-	b := escudo.NewBrowser(net, escudo.BrowserOptions{Mode: escudo.ModeEscudo})
+	b, err := escudo.New(net)
+	if err != nil {
+		panic(err)
+	}
 	if _, err := b.Navigate("http://publisher.example/"); err != nil {
 		panic(err)
 	}

@@ -68,7 +68,10 @@ func main() {
 			return escudo.HTMLResponse("")
 		}))
 
-		b := escudo.NewBrowser(net, escudo.BrowserOptions{Mode: mode})
+		b, err := escudo.New(net, escudo.WithMode(mode))
+		if err != nil {
+			panic(err)
+		}
 		// Establish the session first (the cookie the attack wants).
 		if _, err := b.Navigate("http://blog.example/"); err != nil {
 			panic(err)

@@ -18,10 +18,20 @@ type History struct {
 	visited map[string]bool
 }
 
-// Visit appends a URL to the history and marks it visited.
+// maxHistoryEntries bounds the session history's entry list, as real
+// browsers bound theirs (Firefox and Chrome keep 50): a long-lived
+// session must not grow without bound. The visited set is separate and
+// keeps every URL.
+const maxHistoryEntries = 50
+
+// Visit appends a URL to the history, dropping the oldest entry at
+// maxHistoryEntries, and marks it visited.
 func (h *History) Visit(url string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if len(h.entries) == maxHistoryEntries {
+		h.entries = append(h.entries[:0], h.entries[1:]...)
+	}
 	h.entries = append(h.entries, url)
 	if h.visited == nil {
 		h.visited = map[string]bool{}

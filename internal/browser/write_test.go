@@ -2,6 +2,7 @@ package browser
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -128,6 +129,30 @@ func TestHistoryBack(t *testing.T) {
 	b2 := New(net, Options{Mode: ModeEscudo})
 	if p, err := b2.Back(); p != nil || err != nil {
 		t.Errorf("Back on empty history = %v, %v", p, err)
+	}
+}
+
+// TestHistoryBounded pins the session-history bound: a long-lived
+// session keeps the newest maxHistoryEntries entries (so Previous
+// still answers back navigation), while the visited set keeps every
+// URL it has seen.
+func TestHistoryBounded(t *testing.T) {
+	var h History
+	for i := 0; i < 3*maxHistoryEntries; i++ {
+		h.Visit(fmt.Sprintf("http://a.example/%d", i))
+	}
+	if h.Len() != maxHistoryEntries {
+		t.Fatalf("history holds %d entries, want the bound %d", h.Len(), maxHistoryEntries)
+	}
+	last := 3*maxHistoryEntries - 1
+	if prev, ok := h.Previous(); !ok || prev != fmt.Sprintf("http://a.example/%d", last-1) {
+		t.Fatalf("Previous = %q, %v; want the second-newest entry", prev, ok)
+	}
+	if e := h.Entries(); e[0] != fmt.Sprintf("http://a.example/%d", last-maxHistoryEntries+1) {
+		t.Fatalf("oldest retained entry = %q", e[0])
+	}
+	if !h.Visited("http://a.example/0") {
+		t.Fatal("dropping an entry forgot that its URL was visited")
 	}
 }
 

@@ -199,8 +199,7 @@ type Report struct {
 	Version obs.Stamp `json:"version"`
 	// Obs merges the workers' runtime sampler summaries: goroutine and
 	// heap series are summed across processes, GC totals accumulated,
-	// and HeapMonotonic holds only if every worker's heap grew without
-	// ever dipping. Absent when no worker sampled.
+	// and the drift leak verdicts ORed. Absent when no worker sampled.
 	Obs *obs.SamplerStats `json:"obs,omitempty"`
 	// SLO merges the workers' open-loop sections: counts and histogram
 	// buckets sum, quantiles recomputed from the merged buckets, the

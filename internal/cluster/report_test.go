@@ -136,14 +136,12 @@ func TestMergeShardsObs(t *testing.T) {
 		Samples:        10,
 		Goroutines:     obs.SeriesInt{First: 20, Last: 22, Min: 18, Max: 30},
 		HeapAllocBytes: obs.SeriesInt{First: 1000, Last: 1200, Min: 900, Max: 1500},
-		HeapMonotonic:  false,
 		NumGC:          4,
 	}
 	b.Obs = &obs.SamplerStats{
 		Samples:        12,
 		Goroutines:     obs.SeriesInt{First: 25, Last: 24, Min: 21, Max: 40},
 		HeapAllocBytes: obs.SeriesInt{First: 2000, Last: 2500, Min: 2000, Max: 2600},
-		HeapMonotonic:  true,
 		NumGC:          6,
 	}
 	rep, err := MergeShards([]Shard{a, b})
@@ -158,9 +156,6 @@ func TestMergeShardsObs(t *testing.T) {
 	}
 	if rep.Obs.Goroutines.Max != 70 || rep.Obs.HeapAllocBytes.Last != 3700 {
 		t.Fatalf("obs series sums wrong: %+v", rep.Obs)
-	}
-	if rep.Obs.HeapMonotonic {
-		t.Fatal("one worker's heap dipped; the fleet flag must be false")
 	}
 
 	// One-sided: a fleet where only some workers sample still reports.

@@ -148,15 +148,20 @@ func TestStoreConcurrentSwapsAndReads(t *testing.T) {
 					return
 				default:
 				}
+				// The floor is read before the snapshot is taken: every
+				// generation recorded so far was observed by a snapshot
+				// that finished earlier, so ours may not be older. (Read
+				// after the snapshot, a reader that loaded its snapshot
+				// first but checked second would flag a correct store.)
+				floor := maxSeen.Load()
 				snap := s.Snapshot()
-				if snap.Gen < maxSeen.Load() {
-					// Best-effort monotonicity probe (load/load, so only
-					// flags gross regressions; the swap itself is what
-					// the race detector audits).
-					t.Error("snapshot generation went backwards")
+				if snap.Gen < floor {
+					t.Errorf("snapshot generation went backwards: %d after %d", snap.Gen, floor)
 					return
 				}
-				maxSeen.Store(snap.Gen)
+				for seen := floor; snap.Gen > seen && !maxSeen.CompareAndSwap(seen, snap.Gen); {
+					seen = maxSeen.Load()
+				}
 				snap.Each(func(o string, e Entry) {
 					if e.Policy.Origin != o {
 						t.Errorf("entry key %q holds document for %q", o, e.Policy.Origin)

@@ -221,16 +221,13 @@ func TestSampler(t *testing.T) {
 func TestSamplerMerge(t *testing.T) {
 	a := SamplerStats{Samples: 3, Goroutines: SeriesInt{First: 10, Last: 11, Min: 9, Max: 12},
 		HeapAllocBytes: SeriesInt{First: 100, Last: 90, Min: 80, Max: 120},
-		HeapMonotonic:  false, HeapSysBytes: 1000, GCPauseTotalMs: 1.5, NumGC: 2, PostWarmupGoroutines: 10}
+		HeapSysBytes:   1000, GCPauseTotalMs: 1.5, NumGC: 2, PostWarmupGoroutines: 10}
 	b := SamplerStats{Samples: 4, Goroutines: SeriesInt{First: 5, Last: 6, Min: 5, Max: 7},
 		HeapAllocBytes: SeriesInt{First: 50, Last: 60, Min: 50, Max: 60},
-		HeapMonotonic:  true, HeapSysBytes: 500, GCPauseTotalMs: 0.5, NumGC: 1, PostWarmupGoroutines: 5}
+		HeapSysBytes:   500, GCPauseTotalMs: 0.5, NumGC: 1, PostWarmupGoroutines: 5}
 	a.Merge(b)
 	if a.Samples != 7 || a.Goroutines.Last != 17 || a.Goroutines.Max != 19 {
 		t.Fatalf("merge: %+v", a)
-	}
-	if a.HeapMonotonic {
-		t.Fatal("merged HeapMonotonic must be false when any worker dipped")
 	}
 	if a.NumGC != 3 || a.HeapSysBytes != 1500 || a.PostWarmupGoroutines != 15 {
 		t.Fatalf("merge: %+v", a)

@@ -82,12 +82,10 @@ func TestDriftNilWhenSeriesTooShort(t *testing.T) {
 
 func TestDriftMergeSumsSlopesAndORsVerdict(t *testing.T) {
 	clean := SamplerStats{
-		HeapMonotonic: true,
-		Drift:         &DriftReport{SlopeBytesPerSec: 100, WindowSec: 10, Points: 50},
-		HeapSeries:    []int64{1, 2, 3},
+		Drift:      &DriftReport{SlopeBytesPerSec: 100, WindowSec: 10, Points: 50},
+		HeapSeries: []int64{1, 2, 3},
 	}
 	leaky := SamplerStats{
-		HeapMonotonic: true,
 		Drift: &DriftReport{
 			SlopeBytesPerSec: 5 << 20, GrowthFraction: 1.5,
 			WindowSec: 12, Points: 60, Suspected: true,
@@ -108,7 +106,7 @@ func TestDriftMergeSumsSlopesAndORsVerdict(t *testing.T) {
 	}
 
 	// A merge with no drift on either side stays nil.
-	a, b := SamplerStats{HeapMonotonic: true}, SamplerStats{HeapMonotonic: true}
+	a, b := SamplerStats{}, SamplerStats{}
 	a.Merge(b)
 	if a.Drift != nil {
 		t.Fatalf("driftless merge fabricated a report: %+v", a.Drift)

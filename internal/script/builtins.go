@@ -12,8 +12,7 @@ import (
 // The standard library is organised as Modules (module.go): console,
 // math, string, and util. Hosts install them with Install, or use the
 // StdEnv convenience that installs the full set. All natives here are
-// built with Func, the CtxFunc constructor — see the deprecation note
-// on NativeFunc.
+// built with Func, the CtxFunc constructor.
 
 // Console collects script log output (console.log / log builtin). It
 // is safe for concurrent use.

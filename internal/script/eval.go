@@ -12,7 +12,7 @@ import (
 )
 
 // Value is a runtime value: nil (null), float64, string, bool,
-// *Object, *Array, *Closure, NativeFunc, CtxFunc, or a HostObject.
+// *Object, *Array, *Closure, CtxFunc, or a HostObject.
 type Value any
 
 // Object is a script object (property map).
@@ -34,21 +34,11 @@ type Closure struct {
 	Env *Env
 }
 
-// NativeFunc is a Go function exposed to scripts.
-//
-// Deprecated: construct new host bindings with Func, which yields a
-// CtxFunc. A CtxFunc carries a *Ctx so callbacks into script charge
-// the calling engine's step budget and returned Go errors bridge to
-// script exceptions with the binding's name attached. NativeFunc
-// remains a supported value type for existing bindings and for
-// method values returned from HostGet.
-type NativeFunc func(args []Value) (Value, error)
-
 // HostObject is a browser-provided object whose property reads,
 // writes, and method calls run native Go code — this is where DOM,
 // cookie, and XHR mediation hooks in.
 type HostObject interface {
-	// HostGet reads a property; it may return a NativeFunc for
+	// HostGet reads a property; it may return a CtxFunc for
 	// methods.
 	HostGet(name string) (Value, error)
 	// HostSet writes a property.
@@ -640,7 +630,7 @@ func (*litValue) exprNode() {}
 
 // evalCall evaluates a function or method call. Method calls on host
 // objects resolve through HostGet, which typically yields a bound
-// NativeFunc.
+// CtxFunc.
 func (ip *Interp) evalCall(e *CallExpr, env *Env) (Value, error) {
 	if err := ip.tick(e.Line); err != nil {
 		return nil, err
@@ -709,16 +699,6 @@ func (ip *Interp) callValue(fn Value, args []Value, line int) (Value, error) {
 			return nil, err
 		}
 		return box(v), nil
-	case NativeFunc:
-		v, err := f(args)
-		if err != nil {
-			var re *RuntimeError
-			if errors.As(err, &re) {
-				return nil, err
-			}
-			return nil, &RuntimeError{Line: line, Msg: "native call failed", Err: err}
-		}
-		return v, nil
 	case CtxFunc:
 		v, err := f(&Ctx{eng: ip, line: line}, args)
 		if err != nil {
@@ -762,12 +742,12 @@ func arrayMember(r *Array, name string) Value {
 	case "length":
 		return float64(len(r.Elems))
 	case "push":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			r.Elems = append(r.Elems, args...)
 			return float64(len(r.Elems)), nil
 		})
 	case "join":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			sep := ","
 			if len(args) > 0 {
 				sep = ToString(args[0])
@@ -789,14 +769,14 @@ func stringMember(s, name string) Value {
 	case "length":
 		return float64(len(s))
 	case "indexOf":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return float64(-1), nil
 			}
 			return float64(strings.Index(s, ToString(args[0]))), nil
 		})
 	case "substring":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			start, end := 0, len(s)
 			if len(args) > 0 {
 				if n, ok := args[0].(float64); ok {
@@ -814,7 +794,7 @@ func stringMember(s, name string) Value {
 			return s[start:end], nil
 		})
 	case "split":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return &Array{Elems: []Value{s}}, nil
 			}
@@ -826,18 +806,18 @@ func stringMember(s, name string) Value {
 			return arr, nil
 		})
 	case "toUpperCase":
-		return NativeFunc(func([]Value) (Value, error) { return strings.ToUpper(s), nil })
+		return CtxFunc(func(*Ctx, []Value) (Value, error) { return strings.ToUpper(s), nil })
 	case "toLowerCase":
-		return NativeFunc(func([]Value) (Value, error) { return strings.ToLower(s), nil })
+		return CtxFunc(func(*Ctx, []Value) (Value, error) { return strings.ToLower(s), nil })
 	case "replace":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			if len(args) < 2 {
 				return s, nil
 			}
 			return strings.Replace(s, ToString(args[0]), ToString(args[1]), 1), nil
 		})
 	case "charAt":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			i := 0
 			if len(args) > 0 {
 				if n, ok := args[0].(float64); ok {
@@ -997,7 +977,7 @@ func TypeOf(v Value) string {
 		return "string"
 	case bool:
 		return "boolean"
-	case *Closure, NativeFunc, CtxFunc, *vmClosure:
+	case *Closure, CtxFunc, *vmClosure:
 		return "function"
 	case *Array:
 		return "array"
@@ -1068,7 +1048,7 @@ func toStringDepth(v Value, depth int) string {
 		return "[object " + x.HostName() + "]"
 	case *Closure, *vmClosure:
 		return "[function]"
-	case NativeFunc, CtxFunc:
+	case CtxFunc:
 		return "[native function]"
 	default:
 		return fmt.Sprintf("%v", v)

@@ -7,9 +7,9 @@ import (
 
 // Module is the unit of builtin and FFI registration. A module bundles
 // a named group of host bindings (console, math, the browser's DOM
-// surface) behind a single Install hook, replacing the older pattern
-// of sprinkling env.Define(name, NativeFunc(...)) calls at every call
-// site. Hosts compose environments by installing modules:
+// surface) behind a single Install hook, instead of env.Define calls
+// sprinkled over every call site. Hosts compose environments by
+// installing modules:
 //
 //	env := script.NewEnv()
 //	if err := script.Install(env, script.StdModules(console)...); err != nil { ... }
@@ -69,10 +69,9 @@ func (c *Ctx) Errorf(format string, a ...any) error {
 	return &RuntimeError{Line: c.line, Msg: fmt.Sprintf(format, a...)}
 }
 
-// CtxFunc is a context-aware native function: the preferred form for
-// new host bindings. Unlike NativeFunc it receives a *Ctx, so calling
-// back into script shares the engine's fuel and errors carry the call
-// site.
+// CtxFunc is a context-aware native function, the one Go-function
+// value type scripts can call. It receives a *Ctx, so calling back into script
+// shares the engine's fuel and errors carry the call site.
 type CtxFunc func(ctx *Ctx, args []Value) (Value, error)
 
 // Func wraps a Go function as a named script value with error-as-value

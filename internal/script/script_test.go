@@ -311,7 +311,7 @@ x + y;`
 
 func TestNewExpr(t *testing.T) {
 	env := StdEnv(&Console{})
-	env.Define("Thing", NativeFunc(func(args []Value) (Value, error) {
+	env.Define("Thing", CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 		o := NewObject()
 		if len(args) > 0 {
 			o.Props["x"] = args[0]
@@ -459,7 +459,7 @@ func (h *testHost) HostName() string { return "TestHost" }
 
 func (h *testHost) HostGet(name string) (Value, error) {
 	if name == "up" {
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			return strings.ToUpper(ToString(args[0])), nil
 		}), nil
 	}

@@ -572,18 +572,6 @@ func (m *machine) call(fn vmval, args []vmval, line int) (vmval, error) {
 		switch f := fn.ref.(type) {
 		case *vmClosure:
 			return m.callClosure(f.fn, f.sc, args)
-		case NativeFunc:
-			bargs, base := m.boxInto(args)
-			v, err := f(bargs)
-			m.boxbuf = m.boxbuf[:base]
-			if err != nil {
-				var re *RuntimeError
-				if errors.As(err, &re) {
-					return vmval{}, err
-				}
-				return vmval{}, &RuntimeError{Line: line, Msg: "native call failed", Err: err}
-			}
-			return unbox(v), nil
 		case CtxFunc:
 			bargs, base := m.boxInto(args)
 			oldLine := m.ctx.line

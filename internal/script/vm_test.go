@@ -312,7 +312,7 @@ func TestFoldPreservesSemantics(t *testing.T) {
 // TestEqualsUncomparable: comparing function values must return false,
 // not panic (regression for the interface-comparison panic).
 func TestEqualsUncomparable(t *testing.T) {
-	nf := NativeFunc(func([]Value) (Value, error) { return nil, nil })
+	nf := CtxFunc(func(*Ctx, []Value) (Value, error) { return nil, nil })
 	if Equals(nf, nf) {
 		t.Error("distinct evaluations of uncomparable values must compare false")
 	}
